@@ -1,0 +1,13 @@
+"""Make the simulator sources and the benchmark package importable when
+the benchmark's tests run from the repo root:
+
+    python -m pytest perfbench/tests -q
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
