@@ -3,14 +3,13 @@
 Standalone timing harness for the committed headline block in
 results/bench_baseline.json::
 
-    PYTHONPATH=src python benchmarks/measure_headline.py            # epoch on
-    PYTHONPATH=src python benchmarks/measure_headline.py --no-epoch # control
+    PYTHONPATH=src python benchmarks/measure_headline.py
 
 Runs the exact sweep the baseline records — every kernel of the tatas,
 array, nonblocking and barrier families at 16 and 64 cores, scale 0.05,
 all registry comparison protocols, serial, no cache — and prints the
-wall-clock total.  Run it back-to-back with and without --no-epoch on
-one quiet host to produce the pre/post numbers.
+wall-clock total.  For a before/after pair, run it back-to-back in a
+checkout of each commit on one quiet host.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ FAMILIES = ("tatas", "array", "nonblocking", "barrier")
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--no-epoch", action="store_true")
     parser.add_argument("--scale", type=float, default=0.05)
     parser.add_argument("--cores", type=int, nargs="+", default=[16, 64])
     args = parser.parse_args(argv)
@@ -38,13 +36,11 @@ def main(argv=None) -> int:
             family,
             core_counts=tuple(args.cores),
             scale=args.scale,
-            epoch_mode=not args.no_epoch,
         )
         elapsed = perf_counter() - start
         total += elapsed
         print(f"{family:12s} {elapsed:8.3f}s", flush=True)
-    mode = "off" if args.no_epoch else "on"
-    print(f"TOTAL (epoch {mode}) {total:8.3f}s")
+    print(f"TOTAL {total:8.3f}s")
     return 0
 
 

@@ -98,19 +98,18 @@ class Core:
         self._rmw_state: tuple | None = None
         self._spin_op: isa.WaitLoad | None = None
         self._spin_retry_at = 0
-        # Spin fast-forward (epoch mode): a granted lease, flattened for
+        # Spin fast-forward: a granted lease, flattened for
         # the tick hot path as (expected value, re-poll period, counter
         # keys, traffic row, flits/poll, messages/poll, ((time-component
         # idx, cycles), ...)).  Armed in _spin_probe_issue, consumed by
-        # _lease_tick.  Eligibility is static per run: the reference
-        # engine path, any protocol wrapper (tracing, fault injection,
-        # which override set_time and so clear _fast_time), runtime
-        # invariant sampling, and backoff-capable protocols all disable
-        # leasing; a schedule controller is re-checked at arm time.
+        # _lease_tick.  Eligibility is static per run: any protocol
+        # wrapper (tracing, fault injection, which override set_time and
+        # so clear _fast_time), runtime invariant sampling, and
+        # backoff-capable protocols all disable leasing; a schedule
+        # controller is re-checked at arm time.
         self._lease: tuple | None = None
         self._lease_ok = (
-            sim.epoch_mode
-            and self._fast_time
+            self._fast_time
             and not self._has_backoff
             and getattr(type(protocol), "spin_poll_lease", None)
             is not CoherenceProtocol.spin_poll_lease

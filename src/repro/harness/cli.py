@@ -80,7 +80,6 @@ def _run_one(target: str, args) -> None:
                 core_counts=tuple(args.cores),
                 scale=args.scale,
                 seed=args.seed,
-                epoch_mode=not args.no_epoch,
                 **sweep,
             )
             _emit(result, out, args)
@@ -156,7 +155,6 @@ def _run_chaos(args) -> int:
         num_cores=args.cores[0],
         scale=args.scale,
         invariant_level=args.invariant_level or "full",
-        epoch_mode=not args.no_epoch,
     )
     failures = 0
     for cell in cells:
@@ -207,7 +205,6 @@ def _run_mc(args) -> int:
             bound=args.bound,
             max_schedules=args.max_schedules,
             out_dir=args.mc_out,
-            epoch_mode=not args.no_epoch,
         )
         for name in names
         for protocol in protocols
@@ -338,7 +335,6 @@ def _run_formal(args) -> int:
             divergence_bound=args.divergence_bound,
             divergence_schedules=args.divergence_schedules,
             litmus=tuple(args.litmus) if args.litmus else (),
-            epoch_mode=not args.no_epoch,
         )
         for protocol in protocols
     ]
@@ -571,10 +567,7 @@ def _run_profile(args) -> int:
     from repro.harness.runner import run_workload
 
     workload, cores = _build_workload(args)
-    overrides = {"epoch_mode": not args.no_epoch}
-    if args.invariant_level is not None:
-        overrides["invariant_level"] = args.invariant_level
-    config = config_for_cores(cores, **overrides)
+    config = config_for_cores(cores, invariant_level=args.invariant_level or "off")
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -603,8 +596,7 @@ def _print_epoch_block(result) -> None:
     epoch = result.meta.get("epoch")
     if not epoch:
         return
-    mode = "on" if epoch["mode"] else "off"
-    print(f"  epoch execution ({mode}):")
+    print("  epoch execution:")
     print(f"    epochs entered     {epoch['epochs']:12d}")
     print(f"    events batched     {epoch['events_batched']:12d}")
     print(f"    spin polls elided  {epoch['spin_polls_elided']:12d}")
@@ -625,10 +617,7 @@ def _run_single(args) -> int:
 
     workload, cores = _build_workload(args)
 
-    overrides = {"epoch_mode": not args.no_epoch}
-    if args.invariant_level is not None:
-        overrides["invariant_level"] = args.invariant_level
-    config = config_for_cores(cores, **overrides)
+    config = config_for_cores(cores, invariant_level=args.invariant_level or "off")
     from repro.sim.watchdog import HangError
 
     try:
@@ -787,12 +776,6 @@ def main(argv: list[str] | None = None) -> int:
         "--max-cycles", type=int, default=None,
         help="for 'run': abort with a watchdog dump once the simulated "
         "clock passes this cycle (guards against runaway runs)",
-    )
-    parser.add_argument(
-        "--no-epoch", action="store_true",
-        help="disable epoch execution (batched advancement of uncontended "
-        "stretches + spin fast-forward) and run the reference per-event "
-        "engine loop; results are byte-identical either way",
     )
     parser.add_argument(
         "--invariant-level", choices=["off", "sampled", "full"], default=None,

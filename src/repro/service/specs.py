@@ -32,6 +32,7 @@ from repro.config import (
 )
 from repro.harness.parallel import RunSpec
 from repro.harness.runner import DEFAULT_MAX_EVENTS
+from repro.protocols.registry import protocol_names, unknown_protocol_error
 
 
 def tuplify(value):
@@ -67,6 +68,8 @@ def spec_from_dict(payload: dict) -> RunSpec:
         raise ValueError("cell 'workload' must be a non-empty descriptor list")
     if not isinstance(protocol, str):
         raise ValueError("cell 'protocol' must be a string")
+    if protocol not in protocol_names():
+        raise unknown_protocol_error(protocol)
     try:
         if payload.get("config") is not None:
             config = config_from_dict(payload["config"])
@@ -78,6 +81,8 @@ def spec_from_dict(payload: dict) -> RunSpec:
             max_events = int(max_events)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"malformed cell: {exc}") from None
+    if max_events is not None and max_events < 1:
+        raise ValueError(f"cell 'max_events' must be >= 1, got {max_events}")
     return RunSpec(workload, protocol, config, seed=seed, max_events=max_events)
 
 

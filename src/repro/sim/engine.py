@@ -21,9 +21,13 @@ contract above is independent of which structure an event lands in):
 Hot-path scheduling goes through :meth:`Simulator.call_at` /
 :meth:`Simulator.call_after`, which take a prebound ``(callback, arg)``
 pair, return no handle, and recycle entry storage through a free list —
-zero allocations per event in steady state.  The classic
-:meth:`schedule_at` / :meth:`schedule_after` API returns a cancellable
-:class:`Event` handle and is unchanged.
+zero allocations per event in steady state.  :meth:`Simulator.schedule_at`
+/ :meth:`Simulator.schedule_after` return a cancellable :class:`Event`
+handle instead, for the callers that need to cancel.
+
+:meth:`Simulator.run` is the one run loop: it drains each uncontended
+wheel cycle in place (an *epoch*) and fires an overflow-heap entry on its
+own whenever one is the frontier.
 
 Free-list lifetime rules: only entries created by ``call_at`` /
 ``call_after`` are recyclable.  They are never handed out (no handle →
@@ -120,13 +124,6 @@ class Simulator:
     #: cancelled entries outnumber live ones (see :meth:`_event_cancelled`).
     COMPACT_MIN_SIZE = 64
 
-    #: Epoch execution (see :meth:`_run_epoch`): batched advancement of
-    #: uncontended stretches.  On by default; the harness overrides it
-    #: from ``SystemConfig.epoch_mode`` (CLI ``--no-epoch``).  The firing
-    #: order is byte-identical either way — the flag only selects which
-    #: run loop walks the queue.
-    epoch_mode = True
-
     def __init__(self) -> None:
         size = self.WHEEL_SIZE
         # Instance copy of the class constant: the scheduling hot path
@@ -148,8 +145,6 @@ class Simulator:
         # cancelled) and are skipped without re-inspection.
         self._drain_time = -1
         self._drain_pos = 0
-        # Cached by _peek for the immediately following _take.
-        self._found: tuple | None = None
         self.now = 0
         #: Cycle of the most recent *architectural* progress.  Cores stamp
         #: this every time an operation retires; the liveness watchdog
@@ -168,7 +163,7 @@ class Simulator:
         #: the interleaving of visible operations; normal runs leave it
         #: None and pay one attribute test per operation.
         self.controller = None
-        # Epoch-execution counters (see _run_epoch / epoch_stats).
+        # Epoch-execution counters (see run / epoch_stats).
         # _epoch_spin_elided is bumped by cores when a spin fast-forward
         # lease replaces a full spin probe with a closed-form tick.
         self._epoch_epochs = 0
@@ -329,75 +324,6 @@ class Simulator:
         # Dead prefixes are gone; restart the drain bucket (only live
         # entries of the drained cycle, if any, remain, now at index 0).
         self._drain_pos = 0
-        self._found = None
-
-    # -- queue inspection ---------------------------------------------------
-
-    def _peek(self) -> list | None:
-        """Earliest live entry without consuming it (or None).
-
-        Caches the entry's location for the :meth:`_take` that follows.
-        """
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            e = heappop(heap)
-            if e[5] & _F_RECYCLABLE:  # pragma: no cover - internal entries
-                self._free.append(e)  # cannot be cancelled; defensive only
-        wheel_entry = None
-        if self._wheel_live:
-            now = self.now
-            mask = self._wheel_mask
-            size = self.WHEEL_SIZE
-            while True:
-                occ = self._occ
-                if occ == 0:
-                    break
-                base = now & mask
-                # Any *live* wheel entry lies in [now, now + size), so
-                # the next candidate bucket is the lowest occupied index
-                # >= base, else (wrapping) the lowest occupied index
-                # overall.  Splitting high/low avoids materializing a
-                # rotated copy of the (WHEEL_SIZE-bit) bitmap.
-                high = occ >> base
-                if high:
-                    t = now + ((high & -high).bit_length() - 1)
-                else:
-                    t = now + size - base + ((occ & -occ).bit_length() - 1)
-                idx = t & mask
-                bucket = self._wheel[idx]
-                pos = self._drain_pos if t == self._drain_time else 0
-                n = len(bucket)
-                while pos < n:
-                    e = bucket[pos]
-                    if e[2] is not None:
-                        break
-                    pos += 1
-                else:
-                    # Nothing live in this bucket: reclaim it (dead
-                    # tombstones, possibly from cycles long past) and
-                    # drop its occupancy bit, then look again.
-                    self._reclaim_bucket(idx, bucket)
-                    continue
-                wheel_entry = e
-                if t == self._drain_time:
-                    self._drain_pos = pos  # skip the dead prefix for good
-                break
-        if wheel_entry is None:
-            if heap:
-                head = heap[0]
-                self._found = (head, None, 0, True)
-                return head
-            self._found = None
-            return None
-        if heap:
-            head = heap[0]
-            ht = head[0]
-            t = wheel_entry[0]
-            if ht < t or (ht == t and head[1] < wheel_entry[1]):
-                self._found = (head, None, 0, True)
-                return head
-        self._found = (wheel_entry, bucket, pos, False)
-        return wheel_entry
 
     def _reclaim_bucket(self, idx: int, bucket: list) -> None:
         """Clear a bucket containing only dead entries."""
@@ -418,160 +344,7 @@ class Simulator:
             self._drain_time = -1
             self._drain_pos = 0
 
-    def _take(self) -> list:
-        """Consume the entry returned by the immediately preceding _peek."""
-        entry, bucket, pos, from_heap = self._found
-        self._found = None
-        if from_heap:
-            heappop(self._heap)
-            self._heap_live -= 1
-            return entry
-        # Consumed wheel entries stay in their bucket as tombstones; the
-        # bucket is reclaimed lazily by `_peek` once the scan next lands
-        # on it and finds nothing live.  Eager clearing would be wrong:
-        # a bucket can hold a *live* entry for a later wheel rotation
-        # (time = drained-cycle + k * WHEEL_SIZE, scheduled after a
-        # ``run(until=...)`` clock jump) alongside the dead ones.
-        self._drain_time = entry[0]
-        self._drain_pos = pos + 1
-        self._wheel_live -= 1
-        return entry
-
-    def _pop_next(self, limit: int | None = None) -> list | None:
-        """Consume and return the earliest live entry, or None.
-
-        The one-call hot path behind :meth:`run` and :meth:`step`: same
-        selection rule as :meth:`_peek` + :meth:`_take` (keep the scans
-        in lockstep!) but with no peek cache and the all-dead-bucket
-        reclaim inlined.  With ``limit``, an entry due after ``limit``
-        is left unconsumed and None is returned.
-        """
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            e = heappop(heap)
-            if e[5] & _F_RECYCLABLE:  # pragma: no cover - defensive only
-                self._free.append(e)
-        wheel_entry = None
-        if self._wheel_live:
-            now = self.now
-            mask = self._wheel_mask
-            wheel = self._wheel
-            # Fast path: many events fire per cycle (one per active core),
-            # so the bucket being drained is very often the current
-            # cycle's.  Inserts never land before ``now``, so with an
-            # empty heap the next live entry at/after ``_drain_pos`` IS
-            # the global minimum — no bitmap scan, no heap tie-break.
-            if not heap and self._drain_time == now:
-                bucket = wheel[now & mask]
-                pos = self._drain_pos
-                n = len(bucket)
-                while pos < n:
-                    e = bucket[pos]
-                    if e[2] is not None:
-                        if limit is not None and now > limit:
-                            return None
-                        self._drain_pos = pos + 1
-                        self._wheel_live -= 1
-                        return e
-                    pos += 1
-            while True:
-                occ = self._occ
-                if occ == 0:
-                    break
-                base = now & mask
-                high = occ >> base
-                if high:
-                    t = now + ((high & -high).bit_length() - 1)
-                else:
-                    t = now + self._wsize - base + ((occ & -occ).bit_length() - 1)
-                idx = t & mask
-                bucket = wheel[idx]
-                drain_time = self._drain_time
-                pos = self._drain_pos if t == drain_time else 0
-                n = len(bucket)
-                while pos < n:
-                    e = bucket[pos]
-                    if e[2] is not None:
-                        break
-                    pos += 1
-                else:
-                    # Nothing live: reclaim the bucket (see
-                    # _reclaim_bucket) and look again.
-                    dead = 0
-                    free = self._free
-                    for e in bucket:
-                        if e[5] & _F_RECYCLABLE:
-                            free.append(e)
-                        else:
-                            dead += 1
-                    if dead and self._wheel_dead:
-                        self._wheel_dead = max(0, self._wheel_dead - dead)
-                    bucket.clear()
-                    self._occ = occ & ~(1 << idx)
-                    if idx == (drain_time & mask):
-                        self._drain_time = -1
-                        self._drain_pos = 0
-                    continue
-                wheel_entry = e
-                break
-        if wheel_entry is None:
-            if heap:
-                head = heap[0]
-                if limit is not None and head[0] > limit:
-                    return None
-                heappop(heap)
-                self._heap_live -= 1
-                return head
-            return None
-        if heap:
-            head = heap[0]
-            ht = head[0]
-            if ht < t or (ht == t and head[1] < wheel_entry[1]):
-                if limit is not None and ht > limit:
-                    return None
-                heappop(heap)
-                self._heap_live -= 1
-                return head
-        if limit is not None and t > limit:
-            return None
-        self._drain_time = t
-        self._drain_pos = pos + 1
-        self._wheel_live -= 1
-        return wheel_entry
-
     # -- execution ----------------------------------------------------------
-
-    def step(self) -> bool:
-        """Fire the next pending event; return False when the queue is empty.
-
-        An exception escaping the callback propagates unchanged (same
-        type, same traceback) but is annotated — PEP 678 ``add_note`` —
-        with the event's firing cycle, sequence number, and the cycle at
-        which it was scheduled, so a protocol bug deep in a callback can
-        be attributed to its scheduling site.
-        """
-        entry = self._pop_next()
-        if entry is None:
-            return False
-        self.now = entry[0]
-        callback = entry[2]
-        arg = entry[3]
-        entry[2] = None
-        entry[3] = None
-        try:
-            if arg is _NO_ARG:
-                callback()
-            else:
-                callback(arg)
-        except Exception as exc:
-            exc.add_note(
-                f"[sim] while firing event seq={entry[1]} at cycle "
-                f"{entry[0]} (scheduled at cycle {entry[4]})"
-            )
-            raise
-        if entry[5] == (_F_RECYCLABLE | _F_IN_HEAP):
-            self._free.append(entry)
-        return True
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains (or limits hit); return event count.
@@ -585,127 +358,14 @@ class Simulator:
         in-the-past schedule.  A stale ``until`` (``until < now``) fires
         nothing and leaves the clock alone.  ``max_events`` bounds the
         number of fired events (a safety net against livelocked workloads)
-        and raises without touching the clock.
+        and raises — only when a fireable event remains — without touching
+        the clock.  With a :attr:`watchdog`, it is polled every
+        ``check_interval`` fired events.
 
-        With :attr:`epoch_mode` on (the default) the walk is delegated to
-        :meth:`_run_epoch`, which batches whole uncontended cycles;
-        firing order, limit semantics and the returned count are
-        identical either way.
-        """
-        if self.epoch_mode:
-            return self._run_epoch(until, max_events)
-        fired = 0
-        watchdog = self.watchdog
-        if watchdog is not None:
-            check_interval = watchdog.check_interval
-            if check_interval < 1:
-                raise ValueError(
-                    f"watchdog check_interval must be >= 1, got {check_interval!r}"
-                )
-            countdown = check_interval
-        free = self._free
-        pop_next = self._pop_next
-        if max_events is None and watchdog is None:
-            # Specialized loop for the common no-budget, no-watchdog run:
-            # drops the two per-event limit tests and inlines _pop_next's
-            # same-cycle fast path (see there for why it is safe), saving
-            # a Python call for the majority of events.
-            wheel = self._wheel
-            mask = self._wheel_mask
-            while True:
-                entry = None
-                now = self.now
-                if (
-                    self._drain_time == now
-                    and not self._heap
-                    and (until is None or now <= until)
-                ):
-                    bucket = wheel[now & mask]
-                    pos = self._drain_pos
-                    n = len(bucket)
-                    while pos < n:
-                        e = bucket[pos]
-                        if e[2] is not None:
-                            entry = e
-                            self._drain_pos = pos + 1
-                            self._wheel_live -= 1
-                            break
-                        pos += 1
-                if entry is None:
-                    entry = pop_next(until)
-                    if entry is None:
-                        break
-                    self.now = entry[0]
-                callback = entry[2]
-                arg = entry[3]
-                entry[2] = None
-                entry[3] = None
-                try:
-                    if arg is _NO_ARG:
-                        callback()
-                    else:
-                        callback(arg)
-                except Exception as exc:
-                    exc.add_note(
-                        f"[sim] while firing event seq={entry[1]} at cycle "
-                        f"{entry[0]} (scheduled at cycle {entry[4]})"
-                    )
-                    raise
-                if entry[5] == (_F_RECYCLABLE | _F_IN_HEAP):
-                    free.append(entry)
-                fired += 1
-            if until is not None and until > self.now:
-                self.now = until
-            return fired
-        while True:
-            if max_events is not None and fired >= max_events:
-                # Only a *fireable* next event trips the budget (an empty
-                # queue, or one whose head lies beyond ``until``, ends the
-                # run normally) — and it stays unconsumed, so peek here.
-                head = self._peek()
-                self._found = None
-                if head is None or (until is not None and head[0] > until):
-                    break
-                raise RuntimeError(
-                    f"simulation exceeded max_events={max_events} at cycle {self.now}"
-                )
-            entry = pop_next(until)
-            if entry is None:
-                break
-            self.now = entry[0]
-            callback = entry[2]
-            arg = entry[3]
-            entry[2] = None
-            entry[3] = None
-            try:
-                if arg is _NO_ARG:
-                    callback()
-                else:
-                    callback(arg)
-            except Exception as exc:
-                exc.add_note(
-                    f"[sim] while firing event seq={entry[1]} at cycle "
-                    f"{entry[0]} (scheduled at cycle {entry[4]})"
-                )
-                raise
-            if entry[5] == (_F_RECYCLABLE | _F_IN_HEAP):
-                free.append(entry)
-            fired += 1
-            if watchdog is not None:
-                countdown -= 1
-                if countdown == 0:
-                    watchdog.check()
-                    countdown = check_interval
-        if until is not None and until > self.now:
-            self.now = until
-        return fired
-
-    def _run_epoch(self, until: int | None, max_events: int | None) -> int:
-        """Epoch run loop: batch-advance uncontended stretches of the queue.
-
-        One *epoch* is the drain of a single occupied wheel cycle whose
-        events are provably the global frontier — no overflow-heap event
-        can interleave.  The proof rests on two structural invariants:
+        Each iteration locates the frontier and fires it.  Usually the
+        frontier is an *epoch*: a whole occupied wheel cycle whose events
+        no overflow-heap event can interleave, drained in place.  The
+        proof rests on two structural invariants:
 
         * every live wheel entry lies in ``[now, now + WHEEL_SIZE)``, so
           a bucket holds live entries of exactly one cycle and the next
@@ -717,27 +377,19 @@ class Simulator:
           ``>= t + WHEEL_SIZE``.  Once the heap head is past ``t`` the
           whole cycle belongs to the wheel.
 
-        Events therefore fire in exactly the canonical (cycle, seq)
-        order, but without re-entering :meth:`_pop_next` (bitmap scan,
-        heap tie-break, clock store) per event: the cycle is drained
-        inline.  ``self._drain_pos`` and the bucket length are re-read
-        after every callback — a cancel inside a callback can trigger
-        :meth:`_compact_wheel`, which rewrites the bucket in place and
-        resets the drain cursor.
+        When the heap head is the frontier instead, it is popped and
+        fired alone through the same fire block, and the cause is
+        counted: ``heap-due`` (an overflow event — backoff expiry,
+        watchdog horizon — precedes the next wheel entry) or
+        ``heap-only`` (nothing live in the wheel; the steady state of
+        :class:`ReferenceHeapSimulator`).  Either way events fire in
+        exactly the canonical (cycle, seq) order.
 
-        When the frontier is *not* an uncontended wheel cycle the loop
-        falls back to a single :meth:`_pop_next` step and records the
-        cause: ``heap-due`` (an overflow event — backoff expiry,
-        watchdog horizon — interleaves the frontier) or ``heap-only``
-        (nothing live in the wheel at all; also the steady state of
-        :class:`ReferenceHeapSimulator`, which routes everything to the
-        heap and thereby keeps exercising the reference path even with
-        epoch mode on).
-
-        Semantics (``until`` clamp, ``max_events`` raise-only-when-a-
-        fireable-event-remains, watchdog polling every
-        ``check_interval`` fired events) match :meth:`run`'s general
-        loop exactly.
+        An exception escaping a callback propagates unchanged (same type,
+        same traceback) but carries a PEP 678 note with
+        the event's firing cycle, sequence number, and the cycle at which
+        it was scheduled, so a protocol bug deep in a callback can be
+        attributed to its scheduling site.
         """
         fired = 0
         batched = 0
@@ -755,16 +407,15 @@ class Simulator:
         heap = self._heap
         wheel = self._wheel
         mask = self._wheel_mask
-        pop_next = self._pop_next
         fallbacks = self._epoch_fallbacks
         try:
             while True:
                 while heap and heap[0][2] is None:
                     e = heappop(heap)
-                    if e[5] & _F_RECYCLABLE:  # pragma: no cover - defensive
-                        free.append(e)
+                    if e[5] & _F_RECYCLABLE:  # pragma: no cover - internal entries
+                        free.append(e)  # cannot be cancelled; defensive only
                 # Locate the next occupied wheel cycle t and the position
-                # of its first live entry (same scan as _peek).
+                # of its first live entry.
                 t = -1
                 bucket = None
                 pos = 0
@@ -775,6 +426,12 @@ class Simulator:
                         if occ == 0:
                             break
                         base = now & mask
+                        # Any live wheel entry lies in [now, now + size),
+                        # so the next candidate bucket is the lowest
+                        # occupied index >= base, else (wrapping) the
+                        # lowest occupied index overall.  Splitting
+                        # high/low avoids materializing a rotated copy of
+                        # the (WHEEL_SIZE-bit) bitmap.
                         high = occ >> base
                         if high:
                             cand = now + ((high & -high).bit_length() - 1)
@@ -792,94 +449,76 @@ class Simulator:
                                 break
                             pos += 1
                         else:
+                            # Nothing live in this bucket: reclaim it (dead
+                            # tombstones, possibly from cycles long past)
+                            # and drop its occupancy bit, then look again.
                             self._reclaim_bucket(idx, bucket)
                             continue
                         t = cand
                         break
-                use_heap = False
-                if t < 0:
-                    if not heap:
-                        break
-                    use_heap = True
-                elif heap:
-                    head = heap[0]
-                    ht = head[0]
-                    if ht < t or (ht == t and head[1] < bucket[pos][1]):
-                        use_heap = True
-                if use_heap:
-                    # Cross-epoch event: fall back to one reference step.
-                    if until is not None and heap[0][0] > until:
-                        break
-                    if max_events is not None and fired >= max_events:
-                        raise RuntimeError(
-                            f"simulation exceeded max_events={max_events}"
-                            f" at cycle {self.now}"
-                        )
-                    cause = "heap-only" if t < 0 else "heap-due"
-                    fallbacks[cause] = fallbacks.get(cause, 0) + 1
-                    entry = pop_next(until)
-                    if entry is None:  # pragma: no cover - guarded above
-                        break
-                    self.now = entry[0]
-                    callback = entry[2]
-                    arg = entry[3]
-                    entry[2] = None
-                    entry[3] = None
-                    try:
-                        if arg is _NO_ARG:
-                            callback()
-                        else:
-                            callback(arg)
-                    except Exception as exc:
-                        exc.add_note(
-                            f"[sim] while firing event seq={entry[1]} at cycle "
-                            f"{entry[0]} (scheduled at cycle {entry[4]})"
-                        )
-                        raise
-                    if entry[5] == (_F_RECYCLABLE | _F_IN_HEAP):
-                        free.append(entry)
-                    fired += 1
-                    if watchdog is not None:
-                        countdown -= 1
-                        if countdown == 0:
-                            watchdog.check()
-                            countdown = check_interval
-                    continue
-                if until is not None and t > until:
+                if heap and (
+                    t < 0
+                    or heap[0][0] < t
+                    or (heap[0][0] == t and heap[0][1] < bucket[pos][1])
+                ):
+                    e = heap[0]
+                    bucket = None
+                    frontier = e[0]
+                elif t < 0:
+                    break
+                else:
+                    frontier = t
+                if until is not None and frontier > until:
                     break
                 if max_events is not None and fired >= max_events:
-                    # A fireable entry at t remains; raise before the
-                    # clock moves (max_events never touches the clock).
+                    # A fireable entry remains; raise before the clock
+                    # moves (max_events never touches the clock).
                     raise RuntimeError(
                         f"simulation exceeded max_events={max_events}"
                         f" at cycle {self.now}"
                     )
-                # Batched drain of cycle t.  No heap event can interleave
-                # (see the docstring), so per-event work is just the
-                # dead-entry skip and the callback itself.
-                epochs += 1
-                self.now = t
-                self._drain_time = t
-                self._drain_pos = pos
+                if bucket is None:
+                    cause = "heap-only" if t < 0 else "heap-due"
+                    fallbacks[cause] = fallbacks.get(cause, 0) + 1
+                    heappop(heap)
+                    self._heap_live -= 1
+                    self.now = frontier
+                else:
+                    # Consumed wheel entries stay in their bucket as
+                    # tombstones; the bucket is reclaimed lazily by the
+                    # scan once it next lands there and finds nothing
+                    # live.  Eager clearing would be wrong: a bucket can
+                    # hold a *live* entry for a later wheel rotation
+                    # (time = t + k * WHEEL_SIZE, scheduled after a
+                    # ``run(until=...)`` clock jump) alongside dead ones.
+                    epochs += 1
+                    self.now = t
+                    self._drain_time = t
+                    self._drain_pos = pos
                 while True:
-                    pos = self._drain_pos
-                    n = len(bucket)
-                    while pos < n:
-                        e = bucket[pos]
-                        if e[2] is not None:
+                    if bucket is not None:
+                        # Next live entry of cycle t.  The cursor and the
+                        # length are re-read after every callback: a
+                        # cancel inside one can trigger _compact_wheel,
+                        # which rewrites the bucket in place and resets
+                        # the cursor.
+                        pos = self._drain_pos
+                        n = len(bucket)
+                        while pos < n:
+                            e = bucket[pos]
+                            if e[2] is not None:
+                                break
+                            pos += 1
+                        else:
+                            self._drain_pos = pos
                             break
-                        pos += 1
-                    else:
-                        self._drain_pos = pos
-                        break
-                    if max_events is not None and fired >= max_events:
-                        self._drain_pos = pos
-                        raise RuntimeError(
-                            f"simulation exceeded max_events={max_events}"
-                            f" at cycle {self.now}"
-                        )
-                    self._drain_pos = pos + 1
-                    self._wheel_live -= 1
+                        if max_events is not None and fired >= max_events:
+                            # Out of budget mid-cycle: the next pass
+                            # finds this entry as the frontier and raises.
+                            self._drain_pos = pos
+                            break
+                        self._drain_pos = pos + 1
+                        self._wheel_live -= 1
                     callback = e[2]
                     arg = e[3]
                     e[2] = None
@@ -896,12 +535,18 @@ class Simulator:
                         )
                         raise
                     fired += 1
-                    batched += 1
                     if watchdog is not None:
                         countdown -= 1
                         if countdown == 0:
                             watchdog.check()
                             countdown = check_interval
+                    if bucket is None:
+                        # A heap entry fires alone; its storage is free
+                        # once fired (wheel entries wait for the bucket).
+                        if e[5] == (_F_RECYCLABLE | _F_IN_HEAP):
+                            free.append(e)
+                        break
+                    batched += 1
         finally:
             self._epoch_epochs += epochs
             self._epoch_batched += batched
@@ -914,11 +559,11 @@ class Simulator:
         """Epoch-execution counters, accumulated across :meth:`run` calls.
 
         ``epochs`` — batched cycle drains entered; ``events_batched`` —
-        events fired inside them (the remainder of the fired total went
-        through the per-event fallback); ``spin_polls_elided`` — spin
+        events fired inside them (the remainder of the fired total were
+        heap entries fired one at a time); ``spin_polls_elided`` — spin
         probes replaced by closed-form lease ticks (see
         :meth:`repro.protocols.base.CoherenceProtocol.spin_poll_lease`);
-        ``fallbacks`` — cause → count of per-event fallback steps.
+        ``fallbacks`` — cause → count of heap entries fired alone.
         """
         return {
             "epochs": self._epoch_epochs,
@@ -942,12 +587,14 @@ class Simulator:
 
 
 class ReferenceHeapSimulator(Simulator):
-    """Pure-heap scheduler with the pre-overhaul implementation shape.
+    """Pure-heap reference scheduler.
 
-    Routes every event to the overflow heap, bypassing the bucket wheel.
-    The (time, seq) determinism contract makes it produce *exactly* the
-    same firing order as the hybrid :class:`Simulator`; the golden-run
-    and property tests exploit that to cross-check the wheel against a
+    Routes every event to the overflow heap, bypassing the bucket wheel,
+    so :meth:`Simulator.run` fires each event alone through its heap
+    path.  The (time, seq) determinism contract makes it produce
+    *exactly* the same firing order as the hybrid :class:`Simulator`;
+    the golden-run, property, chaos, mc and formal-oracle tests exploit
+    that to cross-check the wheel and its batched drain against a
     trivially correct reference.
     """
 

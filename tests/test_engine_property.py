@@ -9,6 +9,10 @@ including cancel storms big enough to trip both compaction paths.
 
 The op script is generated once per seed and replayed against both
 engines, so any divergence is a scheduler bug, not test nondeterminism.
+A second family of cases schedules and cancels from *inside* firing
+callbacks (same-cycle appends to the bucket being drained, overflow
+pushes, cancels of pending entries) and stops on a ``max_events``
+budget mid-cycle, then resumes.
 """
 
 import random
@@ -93,34 +97,85 @@ def _apply(sim, script):
     return log, checkpoints
 
 
-def _sim(cls, epoch_mode):
-    sim = cls()
-    sim.epoch_mode = epoch_mode
-    return sim
+@pytest.mark.parametrize("seed", range(12))
+def test_hybrid_matches_reference_heap(seed):
+    # The reference subclass keeps everything in the heap, so its run
+    # loop fires every event alone as a heap-only frontier — exercising
+    # both the batched drain (hybrid) and the heap path (reference)
+    # against each other.
+    script = _make_script(seed, 120)
+    log_h, checks_h = _apply(Simulator(), script)
+    log_r, checks_r = _apply(ReferenceHeapSimulator(), script)
+    assert checks_h == checks_r
+    assert log_h == log_r
+
+
+def _reentrant(sim, seed, budget=None):
+    """Self-scheduling random workload; return the log and checkpoints.
+
+    Each engine gets its own ``Random(seed)``, consumed in firing order,
+    so the two engines make identical choices exactly as long as they
+    fire in identical order.  With ``budget``, the run stops on
+    ``max_events`` (recording the message and clock), then resumes.
+    """
+    rng = random.Random(seed)
+    log = []
+    handles = []
+    counter = [0]
+
+    def fire(tag):
+        log.append((tag, sim.now))
+        for _ in range(rng.choice((0, 1, 2, 2, 3))):
+            if counter[0] >= 600:
+                break
+            counter[0] += 1
+            child = counter[0]
+            roll = rng.random()
+            delta = rng.choice(_DELTAS)
+            if roll < 0.45:
+                sim.call_after(delta, fire, child)
+            elif roll < 0.75:
+                handles.append(
+                    sim.schedule_after(delta, lambda c=child: fire(c))
+                )
+            elif roll < 0.90 and handles:
+                handles[rng.randrange(len(handles))].cancel()
+            else:
+                sim.call_at(sim.now, fire, child)  # same cycle, mid-drain
+
+    for tag in range(-8, 0):
+        sim.call_at(rng.choice(_DELTAS), fire, tag)
+    checkpoints = []
+    if budget is not None:
+        with pytest.raises(RuntimeError) as info:
+            sim.run(max_events=budget)
+        checkpoints.append((str(info.value), sim.now, sim.pending_events))
+    checkpoints.append((sim.run(), sim.now, sim.pending_events))
+    return log, checkpoints
 
 
 @pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("epoch_mode", [True, False])
-def test_hybrid_matches_reference_heap(seed, epoch_mode):
-    # With epoch_mode on, the reference subclass keeps everything in the
-    # heap, so its epoch loop takes the heap-only fallback per event —
-    # deliberately exercising both the batched drain (hybrid) and the
-    # fallback path (reference) against each other.
-    script = _make_script(seed, 120)
-    log_h, checks_h = _apply(_sim(Simulator, epoch_mode), script)
-    log_r, checks_r = _apply(_sim(ReferenceHeapSimulator, epoch_mode), script)
+def test_reentrant_scheduling_matches_reference_heap(seed):
+    log_h, checks_h = _reentrant(Simulator(), seed)
+    log_r, checks_r = _reentrant(ReferenceHeapSimulator(), seed)
+    assert len(log_h) > 100
     assert checks_h == checks_r
     assert log_h == log_r
 
 
 @pytest.mark.parametrize("seed", range(12))
-def test_epoch_loop_matches_reference_loop(seed):
-    """Same hybrid queue, both run loops: identical logs and checkpoints."""
-    script = _make_script(seed, 120)
-    log_on, checks_on = _apply(_sim(Simulator, True), script)
-    log_off, checks_off = _apply(_sim(Simulator, False), script)
-    assert checks_on == checks_off
-    assert log_on == log_off
+def test_max_events_stop_matches_reference_heap(seed):
+    """A budget stop (usually mid-cycle) raises at the same event.
+
+    Nothing past the budget fires, the clock stays at the last fired
+    event, and resuming fires the rest in the same order.
+    """
+    budget = 40 + 7 * seed
+    log_h, checks_h = _reentrant(Simulator(), seed, budget)
+    log_r, checks_r = _reentrant(ReferenceHeapSimulator(), seed, budget)
+    assert checks_h == checks_r
+    assert log_h == log_r
+    assert checks_h[0][1] == log_h[budget - 1][1]
 
 
 def test_mid_epoch_cross_core_message_forces_fallback_in_order():
@@ -162,8 +217,8 @@ def test_mid_epoch_cross_core_message_forces_fallback_in_order():
     assert sim.epoch_stats["fallbacks"].get("heap-due", 0) >= 1
     assert sim.epoch_stats["epochs"] > 0
 
-    # And the reference loop produces the identical interleaving.
-    ref = _sim(Simulator, False)
+    # And the pure-heap reference produces the identical interleaving.
+    ref = ReferenceHeapSimulator()
     ref_log = []
 
     def ref_local(step):

@@ -146,3 +146,22 @@ class TestChaosDifferential:
         assert {cell.seed for cell in cells} == {1, 2, 3}
         # The sweep must actually have perturbed something.
         assert any("0 forced evictions" not in cell.injected for cell in cells)
+
+    def test_sweep_matches_reference_heap_schedule(self, monkeypatch):
+        """The CI chaos control cell (DeNovoSync, fault seed 1, 4 cores,
+        scale 0.03, full invariants) on the production scheduler and on
+        the pure-heap reference: byte-identical verdicts and cycles."""
+        import repro.harness.runner as runner_mod
+        from repro.sim.engine import ReferenceHeapSimulator
+
+        def sweep():
+            cells = run_chaos_sweep(
+                protocols=("DeNovoSync",), seeds=(1,), num_cores=4,
+                scale=0.03, invariant_level="full",
+            )
+            return cells, [cell.describe() for cell in cells]
+
+        hybrid = sweep()
+        monkeypatch.setattr(runner_mod, "Simulator", ReferenceHeapSimulator)
+        assert sweep() == hybrid
+        assert all(cell.ok for cell in hybrid[0])

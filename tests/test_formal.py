@@ -196,6 +196,28 @@ class TestDivergenceOracle:
         assert stats.to_dict()["tests"] == stats.tests
 
 
+def test_oracle_matches_reference_heap_schedule(monkeypatch):
+    """The CI formal cell's divergence oracle (DeNovoSync0, whole corpus,
+    the CLI's default bound 1 and 300 schedules/test) replayed on the
+    production scheduler and on the pure-heap reference: identical
+    findings and replay statistics."""
+    import repro.mc.runner as mc_runner
+    from repro.sim.engine import ReferenceHeapSimulator
+
+    model = get_model(get_info("DeNovoSync0").formal_model)
+
+    def oracle():
+        findings, stats = replay_corpus(
+            "DeNovoSync0", model, bound=1, max_schedules=300
+        )
+        return findings, stats.to_dict()
+
+    hybrid = oracle()
+    monkeypatch.setattr(mc_runner, "Simulator", ReferenceHeapSimulator)
+    assert oracle() == hybrid
+    assert hybrid[1]["executions"] > 0
+
+
 @pytest.mark.parametrize("name", sorted(MODELS))
 class TestGoldenTla:
     def test_export_matches_golden(self, name):

@@ -7,6 +7,7 @@ import pytest
 
 from repro.mc import CORPUS, McOptions, ScheduleController, explore, run_schedule
 from repro.mc.explorer import _naive_interleavings
+from repro.mc import runner as mc_runner
 from repro.mc.runner import ScheduleDivergence, StepInfo, dependent
 
 MC_PROTOCOLS = ("MESI", "DeNovoSync0", "DeNovoSync")
@@ -145,6 +146,30 @@ class TestExploration:
         assert runs[0].executions == runs[1].executions
         assert runs[0].sleep_cuts == runs[1].sleep_cuts
         assert runs[0].bound_pruned == runs[1].bound_pruned
+
+    def test_exploration_matches_reference_heap_schedule(self, monkeypatch):
+        """The CI smoke cell (``mp`` at bound 2 under DeNovoSync) explored
+        on the production scheduler and on the pure-heap reference:
+        schedule counts, pruning, verdict and every execution's trace
+        must be byte-identical."""
+        from repro.mc.cells import McCell, run_cell
+        from repro.sim.engine import ReferenceHeapSimulator
+
+        def fingerprint():
+            traces = []
+            explore(
+                CORPUS["mp"], "DeNovoSync", bound=2,
+                on_execution=lambda execution: traces.append(
+                    [r.to_json() for r in execution.trace]
+                ),
+            )
+            outcome = run_cell(McCell("mp", "DeNovoSync", bound=2))
+            return outcome, outcome.describe(), traces
+
+        hybrid = fingerprint()
+        monkeypatch.setattr(mc_runner, "Simulator", ReferenceHeapSimulator)
+        assert fingerprint() == hybrid
+        assert hybrid[0].ok and hybrid[2]
 
     def test_max_schedules_truncates(self):
         options = McOptions(max_schedules=2)

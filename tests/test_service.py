@@ -224,6 +224,22 @@ class TestWireFormat:
         with pytest.raises(ValueError, match="object"):
             spec_from_dict(["not", "a", "dict"])
 
+    @pytest.mark.parametrize(
+        "field,value,match",
+        [
+            ("protocol", "NoSuch", "unknown protocol"),
+            ("max_events", -1, "max_events"),
+            ("max_events", 0, "max_events"),
+        ],
+    )
+    def test_unrunnable_cells_rejected_at_parse_time(self, field, value, match):
+        # Caught here, POST /jobs answers 400 instead of queueing a cell
+        # that fails in the worker on every retry.
+        cell = {"workload": ["kernel", "tatas", "counter", [120, 0.02, False], [], True],
+                "protocol": "MESI", "cores": 16, field: value}
+        with pytest.raises(ValueError, match=match):
+            spec_from_dict(cell)
+
     def test_describe_workload(self):
         assert describe_workload(("kernel", "tatas", "counter", (), (), True)) == (
             "tatas/counter"

@@ -242,5 +242,7 @@ class TestRunLimits:
             sim.schedule_at(t, lambda: None)
         assert sim.run() == 5
 
-    def test_step_on_empty_queue(self):
-        assert Simulator().step() is False
+    def test_run_on_empty_queue(self):
+        sim = Simulator()
+        assert sim.run() == 0
+        assert sim.now == 0
