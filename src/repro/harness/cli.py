@@ -3,10 +3,12 @@
 Usage (installed as ``denovosync-bench``)::
 
     denovosync-bench fig3 --cores 16 64 --scale 0.1
-    denovosync-bench fig7 --scale 0.5
+    denovosync-bench fig7 --app-scale 0.5
     denovosync-bench ablation-padding
     denovosync-bench all --scale 0.05 --out results/
 
+Every target is a subcommand that accepts only the flags it reads, with
+its own defaults: ``denovosync-bench <target> --help`` lists them.
 ``--scale 1.0`` runs the paper's full iteration counts (slow in pure
 Python); the default keeps a laptop run in minutes while preserving the
 figure shapes.
@@ -33,6 +35,7 @@ from repro.harness.report import print_figure
 from repro.protocols.registry import (
     chaos_comparison_set,
     default_comparison_set,
+    formal_model_set,
     protocol_names,
     sanitize_comparison_set,
 )
@@ -43,6 +46,16 @@ FIGURE_FAMILIES = {
     "fig5": "nonblocking",
     "fig6": "barrier",
 }
+
+#: Ablation target -> (runner, the argument that scales its inputs).
+ABLATIONS = {
+    "ablation-padding": (run_padding_ablation, "scale"),
+    "ablation-swbackoff": (run_sw_backoff_ablation, "scale"),
+    "ablation-eqchecks": (run_eqcheck_ablation, "scale"),
+    "ablation-selfinv": (run_selfinv_ablation, "app_scale"),
+}
+
+ALL_TARGETS = [*FIGURE_FAMILIES, "fig7", *ABLATIONS]
 
 
 def _open_out(out_dir: str | None, name: str):
@@ -86,44 +99,69 @@ def _run_one(target: str, args) -> None:
         elif target == "fig7":
             result = run_apps_figure(scale=args.app_scale, seed=args.seed, **sweep)
             _emit(result, out, args)
-        elif target == "ablation-padding":
-            for label, result in run_padding_ablation(scale=args.scale, **sweep).items():
-                print(f"-- {label} --", file=out)
-                _emit(result, out, args)
-        elif target == "ablation-swbackoff":
-            for label, result in run_sw_backoff_ablation(
-                scale=args.scale, **sweep
-            ).items():
-                print(f"-- {label} --", file=out)
-                _emit(result, out, args)
-        elif target == "ablation-eqchecks":
-            for label, result in run_eqcheck_ablation(scale=args.scale, **sweep).items():
-                print(f"-- {label} --", file=out)
-                _emit(result, out, args)
-        elif target == "ablation-selfinv":
-            for label, result in run_selfinv_ablation(
-                scale=args.app_scale, **sweep
-            ).items():
-                print(f"-- {label} --", file=out)
-                _emit(result, out, args)
         else:
-            raise SystemExit(f"unknown target {target!r}")
+            runner, scale_arg = ABLATIONS[target]
+            for label, result in runner(
+                scale=getattr(args, scale_arg), **sweep
+            ).items():
+                print(f"-- {label} --", file=out)
+                _emit(result, out, args)
     finally:
         if out is not sys.stdout:
             out.close()
 
 
-ALL_TARGETS = [
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "ablation-padding",
-    "ablation-swbackoff",
-    "ablation-eqchecks",
-    "ablation-selfinv",
-]
+def _run_figures(args) -> int:
+    """The figure and ablation targets, and ``all`` (every one in turn)."""
+    for target in args.targets:
+        _run_one(target, args)
+    return 0
+
+
+# -- verification sweeps ------------------------------------------------------
+
+
+def _print_cells(outcomes: list, each=None) -> int:
+    """Print each verification cell's ``describe()`` line, then call
+    ``each(outcome)`` if given; return how many cells are not ``ok``.
+
+    mc, sanitize and formal get their outcomes from one ``run_tasks``
+    fan-out; chaos from the serial ``run_chaos_sweep``, which shares one
+    unperturbed baseline across the fault seeds.
+    """
+    for outcome in outcomes:
+        print(outcome.describe())
+        if each is not None:
+            each(outcome)
+    return sum(not outcome.ok for outcome in outcomes)
+
+
+def _write_report(report, path: str) -> None:
+    """Write a findings report as JSON to ``path`` (empty: write none)."""
+    if not path:
+        return
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    with open(path, "w") as fh:
+        fh.write(report.to_json())
+        fh.write("\n")
+    print(f"report: {path}")
+
+
+def _litmus_names(requested: list[str] | None) -> list[str]:
+    """The requested litmus tests (default: the whole corpus).
+
+    Checked here rather than through ``choices=`` so that building the
+    parser does not import the corpus.
+    """
+    from repro.mc.litmus import CORPUS
+
+    names = requested or sorted(CORPUS)
+    unknown = [name for name in names if name not in CORPUS]
+    if unknown:
+        raise SystemExit(
+            f"unknown litmus test(s) {unknown}; available: {sorted(CORPUS)}"
+        )
+    return names
 
 
 def _fault_plan_from_args(args):
@@ -144,25 +182,18 @@ def _fault_plan_from_args(args):
 def _run_chaos(args) -> int:
     """The ``chaos`` target: seeded fault-injection differential sweep."""
     from repro.harness.chaos import run_chaos_sweep
-    from repro.protocols.registry import chaos_comparison_set
 
-    protocols = (
-        tuple(args.protocols) if args.protocols else chaos_comparison_set()
-    )
     cells = run_chaos_sweep(
-        protocols=protocols,
+        protocols=tuple(args.protocols),
         seeds=tuple(args.seeds),
-        num_cores=args.cores[0],
+        num_cores=args.cores,
         scale=args.scale,
-        invariant_level=args.invariant_level or "full",
+        invariant_level=args.invariant_level,
     )
-    failures = 0
-    for cell in cells:
-        print(cell.describe())
-        failures += not cell.ok
+    failures = _print_cells(cells)
     print(
         f"chaos sweep: {len(cells) - failures}/{len(cells)} cells converged "
-        f"(seeds {list(args.seeds)}, {args.cores[0]} cores)"
+        f"(seeds {list(args.seeds)}, {args.cores} cores)"
     )
     return 1 if failures else 0
 
@@ -172,7 +203,6 @@ def _run_mc(args) -> int:
     preemption bounding) of the litmus corpus, or counterexample replay."""
     from repro.harness.parallel import run_tasks
     from repro.mc.cells import McCell, run_cell
-    from repro.mc.litmus import CORPUS
 
     if args.replay is not None:
         from repro.mc.artifact import replay_counterexample
@@ -187,17 +217,7 @@ def _run_mc(args) -> int:
         print(f"  {report.describe()}")
         return 0 if (report.reproduced and report.trace_identical) else 1
 
-    names = args.litmus or sorted(CORPUS)
-    unknown = [name for name in names if name not in CORPUS]
-    if unknown:
-        raise SystemExit(
-            f"unknown litmus test(s) {unknown}; available: {sorted(CORPUS)}"
-        )
-    from repro.protocols.registry import default_comparison_set
-
-    protocols = (
-        tuple(args.protocols) if args.protocols else default_comparison_set()
-    )
+    names = _litmus_names(args.litmus)
     cells = [
         McCell(
             test_name=name,
@@ -207,17 +227,14 @@ def _run_mc(args) -> int:
             out_dir=args.mc_out,
         )
         for name in names
-        for protocol in protocols
+        for protocol in args.protocols
     ]
     outcomes = run_tasks(run_cell, cells, jobs=args.jobs)
-    violations = 0
-    for outcome in outcomes:
-        print(outcome.describe())
-        violations += not outcome.ok
+    violations = _print_cells(outcomes)
     print(
         f"mc: {len(outcomes) - violations}/{len(outcomes)} cells clean "
         f"(preemption bound {args.bound}, "
-        f"{len(names)} tests x {len(protocols)} protocols)"
+        f"{len(names)} tests x {len(args.protocols)} protocols)"
     )
     return 1 if violations else 0
 
@@ -229,7 +246,6 @@ def _run_sanitize(args) -> int:
     from repro.harness.parallel import run_tasks
     from repro.sanitize.cells import SanitizeCell, run_cell
     from repro.sanitize.findings import Report
-    from repro.protocols.registry import sanitize_comparison_set
     from repro.sanitize.lint import (
         SIMULATOR_RULES,
         default_lint_targets,
@@ -238,11 +254,7 @@ def _run_sanitize(args) -> int:
     )
     from repro.workloads.registry import all_kernel_ids
 
-    protocols = (
-        tuple(args.protocols) if args.protocols else sanitize_comparison_set()
-    )
     report = Report()
-
     lint_findings, linted = lint_paths(default_lint_targets())
     sim_findings, sim_linted = lint_paths(
         simulator_lint_targets(), rules=SIMULATOR_RULES
@@ -257,18 +269,15 @@ def _run_sanitize(args) -> int:
             family=family,
             kernel=kernel,
             protocol=protocol,
-            cores=args.cores[0],
+            cores=args.cores,
             scale=args.scale,
             seed=args.seed,
         )
         for family, kernel in all_kernel_ids()
-        for protocol in protocols
+        for protocol in args.protocols
     ]
-    outcomes = run_tasks(run_cell, cells, jobs=args.jobs)
-    dirty = 0
-    for outcome in outcomes:
-        print(outcome.describe())
-        dirty += not outcome.ok
+
+    def add_cell(outcome) -> None:
         report.extend(outcome.findings)
         report.cells.append(
             {
@@ -280,6 +289,9 @@ def _run_sanitize(args) -> int:
             }
         )
 
+    outcomes = run_tasks(run_cell, cells, jobs=args.jobs)
+    dirty = _print_cells(outcomes, add_cell)
+
     for finding in report.findings:
         if finding.severity == "error" and not finding.details.get("cell"):
             print(f"lint error [{finding.kind}] {finding.site}: {finding.message}")
@@ -288,17 +300,12 @@ def _run_sanitize(args) -> int:
     )
     print(
         f"sanitize: {len(outcomes) - dirty}/{len(outcomes)} dynamic cells clean "
-        f"({len(all_kernel_ids())} kernels x {len(protocols)} protocols, "
-        f"{args.cores[0]} cores, scale {args.scale}); lint: {lint_errors} "
+        f"({len(all_kernel_ids())} kernels x {len(args.protocols)} protocols, "
+        f"{args.cores} cores, scale {args.scale}); lint: {lint_errors} "
         f"error(s), {sum(1 for f in lint_findings if f.severity == 'warning')} "
         f"warning(s) over {len(linted)} files"
     )
-    if args.sanitize_out:
-        os.makedirs(os.path.dirname(args.sanitize_out) or ".", exist_ok=True)
-        with open(args.sanitize_out, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"report: {args.sanitize_out}")
+    _write_report(report, args.sanitize_out)
     return 0 if report.clean else 1
 
 
@@ -309,42 +316,21 @@ def _run_formal(args) -> int:
     litmus divergence oracle, and TLA+ module export."""
     from repro.formal.cells import FormalCell, run_cell
     from repro.harness.parallel import run_tasks
-    from repro.mc.litmus import CORPUS
-    from repro.protocols.registry import formal_model_set
     from repro.sanitize.findings import Report
 
-    unknown = [name for name in (args.litmus or []) if name not in CORPUS]
-    if unknown:
-        raise SystemExit(
-            f"unknown litmus test(s) {unknown}; available: {sorted(CORPUS)}"
-        )
-    protocols = (
-        tuple(args.protocols) if args.protocols else formal_model_set()
-    )
-    unmodelled = [
-        name for name in protocols if name not in formal_model_set()
-    ]
-    if unmodelled:
-        raise SystemExit(
-            f"protocol(s) {unmodelled} declare no formal model; "
-            f"modelled: {list(formal_model_set())}"
-        )
+    _litmus_names(args.litmus)
     cells = [
         FormalCell(
             protocol=protocol,
             divergence_bound=args.divergence_bound,
             divergence_schedules=args.divergence_schedules,
-            litmus=tuple(args.litmus) if args.litmus else (),
+            litmus=tuple(args.litmus or ()),
         )
-        for protocol in protocols
+        for protocol in args.protocols
     ]
-    outcomes = run_tasks(run_cell, cells, jobs=args.jobs)
-
     report = Report()
-    dirty = 0
-    for outcome in outcomes:
-        print(outcome.describe())
-        dirty += not outcome.ok
+
+    def add_cell(outcome) -> None:
         report.extend(outcome.findings)
         report.cells.append(
             {
@@ -363,6 +349,9 @@ def _run_formal(args) -> int:
             with open(path, "w") as fh:
                 fh.write(outcome.tla_text)
             print(f"  tla: {path}")
+
+    outcomes = run_tasks(run_cell, cells, jobs=args.jobs)
+    dirty = _print_cells(outcomes, add_cell)
     for finding in report.findings:
         if finding.severity == "error":
             print(f"formal error [{finding.kind}] {finding.site}: "
@@ -373,13 +362,11 @@ def _run_formal(args) -> int:
         f"{len(report.warnings)} warning(s); divergence bound "
         f"{args.divergence_bound}, {args.divergence_schedules} schedules/test)"
     )
-    if args.formal_out:
-        os.makedirs(os.path.dirname(args.formal_out) or ".", exist_ok=True)
-        with open(args.formal_out, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"report: {args.formal_out}")
+    _write_report(report, args.formal_out)
     return 1 if dirty else 0
+
+
+# -- sweep service ------------------------------------------------------------
 
 
 def _run_serve(args) -> int:
@@ -406,13 +393,13 @@ def _run_chaos_service(args) -> int:
     from repro.service.chaos import ChaosConfig, run_service_chaos
 
     config = ChaosConfig(
-        workers=args.workers or 2,
+        workers=args.workers,
         kills=args.kills,
         kill_interval=args.kill_interval,
-        cores=args.cores[0],
-        scale=args.scale if args.scale_given else 0.3,
+        cores=args.cores,
+        scale=args.scale,
         seed=args.seed,
-        cell_deadline=args.cell_deadline or 5.0,
+        cell_deadline=args.cell_deadline,
         max_retries=args.max_retries,
         wait_timeout=args.wait_timeout,
         cache_dir=args.cache_dir,
@@ -424,13 +411,12 @@ def _run_chaos_service(args) -> int:
 
 def _submit_cells(args) -> list:
     """Build the RunSpec cells of a ``submit`` sweep: every requested
-    kernel x protocol x core count, mirroring :func:`run_kernel_figure`."""
+    kernel x protocol x core count, mirroring :func:`run_kernel_figure`.
+    ``args.protocols=None`` sweeps the registry's default comparison set."""
     from repro.config import config_for_cores
     from repro.harness.parallel import RunSpec, kernel_cell
     from repro.workloads.base import KernelSpec
     from repro.workloads.registry import kernel_names
-
-    from repro.protocols.registry import default_comparison_set
 
     names = args.names or kernel_names(args.sweep_family)
     protocols = (
@@ -522,34 +508,39 @@ def _run_status(args) -> int:
     return 0
 
 
+# -- single runs --------------------------------------------------------------
+
+
 def _build_workload(args):
-    """Resolve ``--workload family/name`` into (workload, core count)."""
+    """Resolve ``--workload family/name`` into (workload, core count).
+
+    Without ``--cores`` an app runs on the paper's core count for it and
+    every other workload on 16 cores.
+    """
     from repro.workloads.base import KernelSpec
 
     spec = args.workload
-    if "/" in spec:
-        family, name = spec.split("/", 1)
-        if family == "app":
-            from repro.workloads.apps import app_core_count, make_app
-
-            workload = make_app(name, scale=args.app_scale)
-            cores = args.cores[0] if args.cores_given else app_core_count(name)
-        elif family == "micro":
-            from repro.workloads.micro import MICROBENCHES
-
-            workload = MICROBENCHES[f"micro.{name}"]()
-            cores = args.cores[0]
-        else:
-            from repro.workloads.registry import make_kernel
-
-            workload = make_kernel(family, name, spec=KernelSpec(scale=args.scale))
-            cores = args.cores[0]
-    else:
+    if "/" not in spec:
         raise SystemExit(
             f"--workload must be family/name (e.g. tatas/counter, app/LU, "
             f"micro/pingpong), got {spec!r}"
         )
-    return workload, cores
+    family, name = spec.split("/", 1)
+    cores = 16
+    if family == "app":
+        from repro.workloads.apps import app_core_count, make_app
+
+        workload = make_app(name, scale=args.app_scale)
+        cores = app_core_count(name)
+    elif family == "micro":
+        from repro.workloads.micro import MICROBENCHES
+
+        workload = MICROBENCHES[f"micro.{name}"]()
+    else:
+        from repro.workloads.registry import make_kernel
+
+        workload = make_kernel(family, name, spec=KernelSpec(scale=args.scale))
+    return workload, cores if args.cores is None else args.cores
 
 
 def _run_profile(args) -> int:
@@ -567,7 +558,7 @@ def _run_profile(args) -> int:
     from repro.harness.runner import run_workload
 
     workload, cores = _build_workload(args)
-    config = config_for_cores(cores, invariant_level=args.invariant_level or "off")
+    config = config_for_cores(cores, invariant_level=args.invariant_level)
 
     profiler = cProfile.Profile()
     profiler.enable()
@@ -613,13 +604,11 @@ def _run_single(args) -> int:
     """The ``run`` target: one workload, one protocol, full detail."""
     from repro.config import config_for_cores
     from repro.harness.runner import run_workload
+    from repro.sim.watchdog import HangError
     from repro.stats.energy import EnergyModel
 
     workload, cores = _build_workload(args)
-
-    config = config_for_cores(cores, invariant_level=args.invariant_level or "off")
-    from repro.sim.watchdog import HangError
-
+    config = config_for_cores(cores, invariant_level=args.invariant_level)
     try:
         result = run_workload(
             workload,
@@ -725,289 +714,233 @@ def _run_protocols(args) -> int:
     return 1 if failures else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+# -- the parser ---------------------------------------------------------------
+
+
+FORMATS = ["table", "csv", "json", "plot"]
+INVARIANT_LEVELS = ["off", "sampled", "full"]
+SCALE_HELP = "fraction of the paper's kernel iteration counts"
+
+
+def _bound(text: str) -> int | None:
+    """``mc --bound``: a negative preemption bound means unbounded."""
+    bound = int(text)
+    return None if bound < 0 else bound
+
+
+def _add_protocols(parser, default, choices=None) -> None:
+    choices = list(choices or protocol_names())
+    parser.add_argument(
+        "--protocols", nargs="+", default=default, choices=choices, metavar="NAME",
+        help="protocols to sweep, out of " + ", ".join(choices),
+    )
+
+
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="denovosync-bench",
         description="Regenerate the DeNovoSync (ASPLOS'15) evaluation figures.",
+        epilog="'denovosync-bench <target> --help' lists a target's flags.",
     )
-    parser.add_argument(
-        "target",
-        choices=ALL_TARGETS
-        + ["all", "run", "profile", "chaos", "mc", "sanitize", "formal",
-           "serve", "submit", "status", "chaos-service", "protocols"],
-    )
-    parser.add_argument(
-        "--workload", default=None,
-        help="for 'run': family/name, e.g. tatas/counter, nonblocking/"
-        "'M-S queue', app/LU, micro/pingpong",
-    )
-    parser.add_argument(
-        "--protocol", default="DeNovoSync",
-        choices=list(protocol_names()), metavar="NAME",
-        help="for 'run': " + ", ".join(protocol_names())
-        + " (default: DeNovoSync)",
-    )
-    parser.add_argument(
-        "--trace", default=None,
-        help="for 'run': write a JSONL access trace to this path",
-    )
-    parser.add_argument(
-        "--top", type=int, default=25,
-        help="for 'profile': number of functions to print (default 25)",
-    )
-    parser.add_argument(
-        "--profile-out", default=None,
-        help="for 'profile': also dump the raw cProfile stats to this path",
-    )
-    parser.add_argument(
-        "--cores", type=int, nargs="+", default=[16, 64],
-        help="core counts for the kernel figures (default: 16 64)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.1,
-        help="fraction of the paper's kernel iteration counts (default 0.1)",
-    )
-    parser.add_argument(
-        "--app-scale", type=float, default=0.5,
-        help="input scale for the Figure 7 application models (default 0.5)",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--max-cycles", type=int, default=None,
-        help="for 'run': abort with a watchdog dump once the simulated "
-        "clock passes this cycle (guards against runaway runs)",
-    )
-    parser.add_argument(
-        "--invariant-level", choices=["off", "sampled", "full"], default=None,
-        help="arm the runtime coherence invariant checker (default: off "
-        "for 'run', full for 'chaos')",
-    )
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=[1, 2, 3],
-        help="for 'chaos': fault seeds to sweep (default: 1 2 3)",
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="for 'run': seed of the fault-injection RNG",
-    )
-    parser.add_argument(
-        "--fault-jitter", type=int, default=0,
-        help="for 'run': max extra cycles of per-access delay jitter",
-    )
-    parser.add_argument(
-        "--fault-reorder", type=float, default=0.0,
-        help="for 'run': probability of deferring (reordering) an access",
-    )
-    parser.add_argument(
-        "--fault-evict-period", type=int, default=0,
-        help="for 'run': cycles between forced L1 eviction storms (0: off)",
-    )
-    parser.add_argument(
-        "--fault-evict-lines", type=int, default=1,
-        help="for 'run': random evictions attempted per storm",
-    )
-    parser.add_argument(
-        "--bound", type=int, default=2,
-        help="for 'mc': preemption bound (CHESS-style; -1 = unbounded)",
-    )
-    parser.add_argument(
-        "--litmus", nargs="+", default=None,
-        help="for 'mc'/'formal': litmus tests to explore (default: the "
-        "whole corpus)",
-    )
-    parser.add_argument(
-        "--protocols", nargs="+", default=None,
-        choices=list(protocol_names()), metavar="NAME",
-        help="for 'mc'/'sanitize'/'formal'/'chaos'/'submit': protocols to "
-        "sweep, "
-        "out of " + ", ".join(protocol_names())
-        + " (default: the registry's capability-filtered set per "
-        "target: mc/submit "
-        + " ".join(default_comparison_set())
-        + "; sanitize " + " ".join(sanitize_comparison_set())
-        + "; chaos " + " ".join(chaos_comparison_set()) + ")",
-    )
-    parser.add_argument(
-        "--check-doc", nargs="+", default=None, metavar="PATH",
-        help="for 'protocols': verify each file embeds the registry's "
-        "generated markdown table verbatim (exit 1 on drift)",
-    )
-    parser.add_argument(
-        "--max-schedules", type=int, default=20_000,
-        help="for 'mc': truncate exploration of a cell after this many "
-        "schedules (reported as [truncated])",
-    )
-    parser.add_argument(
-        "--replay", default=None,
-        help="for 'mc': replay a counterexample artifact (.json) and "
-        "verify it reproduces deterministically",
-    )
-    parser.add_argument(
-        "--mc-out", default=os.path.join("results", "mc"),
-        help="for 'mc': directory for counterexample artifacts "
-        "(default: results/mc)",
-    )
-    parser.add_argument(
-        "--formal-out", default=os.path.join("results", "formal.json"),
-        help="for 'formal': path of the JSON findings report "
-        "(default: results/formal.json; empty string disables)",
-    )
-    parser.add_argument(
-        "--tla-out", default=os.path.join("results", "formal"),
-        help="for 'formal': directory for exported TLA+ modules "
-        "(default: results/formal; empty string disables)",
-    )
-    parser.add_argument(
-        "--divergence-bound", type=int, default=1,
-        help="for 'formal': preemption bound of the litmus divergence "
-        "oracle's exploration (default: 1)",
-    )
-    parser.add_argument(
-        "--divergence-schedules", type=int, default=300,
-        help="for 'formal': schedules replayed per litmus test by the "
-        "divergence oracle (default: 300)",
-    )
-    parser.add_argument(
-        "--sanitize-out", default=os.path.join("results", "sanitize.json"),
-        help="for 'sanitize': path of the JSON findings report "
-        "(default: results/sanitize.json; empty string disables)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for figure sweeps: 1 = serial (default), "
-        "N = fan cells out to N processes, 0 = all host cores; results "
-        "are identical for any value",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache (every cell re-simulates)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-        "results/.runcache; entries auto-invalidate when any source "
-        "file under src/repro changes)",
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="for 'serve'/'submit'/'status': service address "
-        "(default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port", type=int, default=8642,
-        help="for 'serve'/'submit'/'status': service port (default: 8642; "
-        "serve accepts 0 for an ephemeral port)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="for 'serve': persistent worker processes "
-        "(default: 0 = all host cores)",
-    )
-    parser.add_argument(
-        "--max-queued", type=int, default=4096,
-        help="for 'serve': admission bound — reject job submissions with "
-        "HTTP 503 + Retry-After once this many cells are queued or "
-        "running (default: 4096)",
-    )
-    parser.add_argument(
-        "--cell-deadline", type=float, default=None,
-        help="for 'serve'/'chaos-service': per-cell wall-clock execution "
-        "budget in seconds; an overrunning cell fails with "
-        "deadline_exceeded and its worker is recycled (default: none)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=3,
-        help="for 'serve'/'chaos-service': execution attempts per cell "
-        "before it settles as failed (default: 3)",
-    )
-    parser.add_argument(
-        "--drain-timeout", type=float, default=30.0,
-        help="for 'serve': on SIGTERM/SIGINT, wait up to this many "
-        "seconds for in-flight cells to settle before exiting "
-        "(default: 30)",
-    )
-    parser.add_argument(
-        "--kills", type=int, default=2,
-        help="for 'chaos-service': worker processes to SIGKILL mid-cell "
-        "(default: 2)",
-    )
-    parser.add_argument(
-        "--kill-interval", type=float, default=0.3,
-        help="for 'chaos-service': seconds between observing a running "
-        "cell and killing a worker (default: 0.3)",
-    )
-    parser.add_argument(
-        "--sweep-family", choices=["tatas", "array", "nonblocking", "barrier"],
-        default="tatas",
-        help="for 'submit': kernel family of the submitted sweep "
-        "(default: tatas)",
-    )
-    parser.add_argument(
-        "--names", nargs="+", default=None,
-        help="for 'submit': kernel bar names to sweep "
-        "(default: every kernel in the family)",
-    )
-    parser.add_argument(
-        "--wait", action="store_true",
-        help="for 'submit': poll the job until it settles and print "
-        "per-cell outcomes (exit 1 if any cell failed)",
-    )
-    parser.add_argument(
-        "--wait-timeout", type=float, default=600.0,
-        help="for 'submit --wait': give up after this many seconds "
-        "(default: 600)",
-    )
-    parser.add_argument(
-        "--job", default=None,
-        help="for 'status': show one job's per-cell detail instead of "
-        "the job list",
-    )
-    parser.add_argument(
-        "--out", default=None,
-        help="directory for per-figure .txt reports (default: stdout)",
-    )
-    parser.add_argument(
-        "--format", choices=["table", "csv", "json", "plot"], default="table",
-        help="output format: aligned tables (default), CSV, JSON, or "
-        "ASCII stacked bars",
-    )
-    args = parser.parse_args(argv)
-    args.cores_given = "--cores" in (argv or [])
-    args.scale_given = "--scale" in (argv or [])
+    subparsers = parser.add_subparsers(dest="target", required=True, metavar="target")
 
-    if args.target == "run":
-        if args.workload is None:
-            parser.error("'run' requires --workload family/name")
-        return _run_single(args)
-    if args.target == "profile":
-        if args.workload is None:
-            parser.error("'profile' requires --workload family/name")
-        return _run_profile(args)
-    if args.target == "chaos":
-        return _run_chaos(args)
-    if args.target == "mc":
-        if args.bound is not None and args.bound < 0:
-            args.bound = None  # -1: unbounded exploration
-        return _run_mc(args)
-    if args.target == "sanitize":
-        return _run_sanitize(args)
-    if args.target == "formal":
-        return _run_formal(args)
-    if args.target == "serve":
-        return _run_serve(args)
-    if args.target == "submit":
-        return _run_submit(args)
-    if args.target == "status":
-        return _run_status(args)
-    if args.target == "chaos-service":
-        return _run_chaos_service(args)
-    if args.target == "protocols":
-        return _run_protocols(args)
+    def target(name, func, summary, parents=(), **defaults):
+        sub = subparsers.add_parser(
+            name, help=summary, description=summary, parents=list(parents),
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        )
+        sub.set_defaults(func=func, **defaults)
+        return sub
 
-    targets = ALL_TARGETS if args.target == "all" else [args.target]
-    for target in targets:
-        _run_one(target, args)
-    return 0
+    def parent(*parents):
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+    jobs = parent()
+    jobs.add_argument("--jobs", type=int, default=1,
+                      help="worker processes (0: all host cores); any value gives "
+                      "identical results")
+    cache = parent()
+    cache.add_argument("--no-cache", action="store_true",
+                       help="disable the on-disk result cache (every cell re-simulates)")
+    cache.add_argument("--cache-dir",
+                       help="result-cache directory (None: $REPRO_CACHE_DIR or "
+                       "results/.runcache); entries auto-invalidate when any source "
+                       "file under src/repro changes")
+    figure = parent(jobs, cache)
+    figure.add_argument("--cores", type=int, nargs="+", default=[16, 64],
+                        help="core counts of the kernel figures")
+    figure.add_argument("--scale", type=float, default=0.1, help=SCALE_HELP)
+    figure.add_argument("--app-scale", type=float, default=0.5,
+                        help="input scale of the Figure 7 application models")
+    figure.add_argument("--seed", type=int, default=1, help="simulation seed")
+    figure.add_argument("--out", help="directory for per-figure .txt reports (None: stdout)")
+    figure.add_argument("--format", choices=FORMATS, default="table",
+                        help="aligned tables, CSV, JSON, or ASCII stacked bars")
+    address = parent()
+    address.add_argument("--host", default="127.0.0.1", help="service address")
+    address.add_argument("--port", type=int, default=8642,
+                         help="service port (serve: 0 picks an ephemeral port)")
+
+    for name in ALL_TARGETS:
+        target(name, _run_figures, f"regenerate {name}", [figure], targets=[name])
+    target("all", _run_figures, "regenerate every figure and ablation", [figure],
+           targets=ALL_TARGETS)
+
+    single = parent()
+    single.add_argument("--workload", required=True,
+                        help="family/name, e.g. tatas/counter, nonblocking/'M-S queue', "
+                        "app/LU, micro/pingpong")
+    single.add_argument("--protocol", default="DeNovoSync", choices=protocol_names(),
+                        metavar="NAME", help="one of " + ", ".join(protocol_names()))
+    single.add_argument("--cores", type=int,
+                        help="core count (None: 16, or the paper's count for an app/)")
+    single.add_argument("--scale", type=float, default=0.1, help=SCALE_HELP)
+    single.add_argument("--app-scale", type=float, default=0.5,
+                        help="input scale of an app/ workload")
+    single.add_argument("--seed", type=int, default=1, help="simulation seed")
+    single.add_argument("--invariant-level", choices=INVARIANT_LEVELS, default="off",
+                        help="runtime coherence invariant checking")
+
+    run = target("run", _run_single, "one workload, one protocol, full detail", [single])
+    run.add_argument("--trace", help="write a JSONL access trace to this path")
+    run.add_argument("--max-cycles", type=int,
+                     help="abort with a watchdog dump once the simulated clock passes "
+                     "this cycle")
+    run.add_argument("--fault-seed", type=int, default=0,
+                     help="seed of the fault-injection RNG")
+    run.add_argument("--fault-jitter", type=int, default=0,
+                     help="max extra cycles of per-access delay jitter")
+    run.add_argument("--fault-reorder", type=float, default=0.0,
+                     help="probability of deferring (reordering) an access")
+    run.add_argument("--fault-evict-period", type=int, default=0,
+                     help="cycles between forced L1 eviction storms (0: off)")
+    run.add_argument("--fault-evict-lines", type=int, default=1,
+                     help="random evictions attempted per storm")
+
+    profile = target("profile", _run_profile, "cProfile one run, print hot functions",
+                     [single])
+    profile.add_argument("--top", type=int, default=25, help="functions to print")
+    profile.add_argument("--profile-out",
+                         help="also dump the raw cProfile stats to this path")
+
+    chaos = target("chaos", _run_chaos, "seeded fault-injection differential sweep")
+    _add_protocols(chaos, chaos_comparison_set())
+    chaos.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3],
+                       help="fault seeds to sweep")
+    chaos.add_argument("--cores", type=int, default=16, help="core count")
+    chaos.add_argument("--scale", type=float, default=0.1, help=SCALE_HELP)
+    chaos.add_argument("--invariant-level", choices=INVARIANT_LEVELS, default="full",
+                       help="runtime coherence invariant checking")
+
+    mc = target("mc", _run_mc, "model-check the litmus corpus, or replay a "
+                "counterexample", [jobs])
+    mc.add_argument("--litmus", nargs="+",
+                    help="litmus tests to explore (None: the whole corpus)")
+    _add_protocols(mc, default_comparison_set())
+    mc.add_argument("--bound", type=_bound, default=2,
+                    help="preemption bound (CHESS-style; -1: unbounded)")
+    mc.add_argument("--max-schedules", type=int, default=20_000,
+                    help="truncate a cell's exploration after this many schedules")
+    mc.add_argument("--replay",
+                    help="replay a counterexample artifact (.json) and verify it "
+                    "reproduces deterministically")
+    mc.add_argument("--mc-out", default=os.path.join("results", "mc"),
+                    help="directory for counterexample artifacts")
+
+    sanitize = target("sanitize", _run_sanitize, "lint the sources and sweep every "
+                      "kernel for races and stale reads", [jobs])
+    _add_protocols(sanitize, sanitize_comparison_set())
+    sanitize.add_argument("--cores", type=int, default=16, help="core count")
+    sanitize.add_argument("--scale", type=float, default=0.05, help=SCALE_HELP)
+    sanitize.add_argument("--seed", type=int, default=1, help="simulation seed")
+    sanitize.add_argument("--sanitize-out", default=os.path.join("results", "sanitize.json"),
+                          help="JSON findings report ('': none)")
+
+    formal = target("formal", _run_formal, "verify each modelled protocol against "
+                    "its formal model", [jobs])
+    formal.add_argument("--litmus", nargs="+",
+                        help="divergence-oracle litmus tests (None: the whole corpus)")
+    _add_protocols(formal, formal_model_set(), choices=formal_model_set())
+    formal.add_argument("--formal-out", default=os.path.join("results", "formal.json"),
+                        help="JSON findings report ('': none)")
+    formal.add_argument("--tla-out", default=os.path.join("results", "formal"),
+                        help="directory for exported TLA+ modules ('': none)")
+    formal.add_argument("--divergence-bound", type=int, default=1,
+                        help="preemption bound of the divergence oracle")
+    formal.add_argument("--divergence-schedules", type=int, default=300,
+                        help="schedules the divergence oracle replays per litmus test")
+
+    serve = target("serve", _run_serve, "run the sweep job server", [address, cache])
+    serve.add_argument("--workers", type=int, default=0,
+                       help="persistent worker processes (0: all host cores)")
+    serve.add_argument("--max-queued", type=int, default=4096,
+                       help="reject submissions with HTTP 503 + Retry-After once this "
+                       "many cells are queued or running")
+    serve.add_argument("--cell-deadline", type=float,
+                       help="per-cell wall-clock budget in seconds (None: no limit); "
+                       "an overrunning cell fails with deadline_exceeded and its "
+                       "worker is recycled")
+    serve.add_argument("--max-retries", type=int, default=3,
+                       help="execution attempts per cell before it settles as failed")
+    serve.add_argument("--drain-timeout", type=float, default=30.0,
+                       help="on SIGTERM/SIGINT, seconds to wait for in-flight cells")
+
+    submit = target("submit", _run_submit, "POST a kernel sweep to a running server",
+                    [address])
+    submit.add_argument("--sweep-family", default="tatas",
+                        choices=["tatas", "array", "nonblocking", "barrier"],
+                        help="kernel family of the sweep")
+    submit.add_argument("--names", nargs="+",
+                        help="kernel bar names to sweep (None: the whole family)")
+    _add_protocols(submit, default_comparison_set())
+    submit.add_argument("--cores", type=int, nargs="+", default=[16, 64],
+                        help="core counts to sweep")
+    submit.add_argument("--scale", type=float, default=0.1, help=SCALE_HELP)
+    submit.add_argument("--seed", type=int, default=1, help="simulation seed")
+    submit.add_argument("--wait", action="store_true",
+                        help="poll until the job settles and print per-cell outcomes "
+                        "(exit 1 if any cell failed)")
+    submit.add_argument("--wait-timeout", type=float, default=600.0,
+                        help="with --wait: give up after this many seconds")
+
+    status = target("status", _run_status, "server health and job list, or one job's "
+                    "detail", [address])
+    status.add_argument("--job", help="show this job's per-cell detail")
+
+    chaos_service = target("chaos-service", _run_chaos_service, "SIGKILL the workers of "
+                           "a live sweep server and verify it self-heals")
+    chaos_service.add_argument("--workers", type=int, default=2,
+                               help="worker processes of the server")
+    chaos_service.add_argument("--kills", type=int, default=2,
+                               help="workers to SIGKILL mid-cell")
+    chaos_service.add_argument("--kill-interval", type=float, default=0.3,
+                               help="seconds between seeing a running cell and a kill")
+    chaos_service.add_argument("--cores", type=int, default=16, help="core count")
+    chaos_service.add_argument("--scale", type=float, default=0.3,
+                               help="scale of the healthy cells")
+    chaos_service.add_argument("--seed", type=int, default=1, help="simulation seed")
+    chaos_service.add_argument("--cell-deadline", type=float, default=5.0,
+                               help="per-cell wall-clock budget in seconds")
+    chaos_service.add_argument("--max-retries", type=int, default=3,
+                               help="execution attempts per cell before it fails")
+    chaos_service.add_argument("--wait-timeout", type=float, default=600.0,
+                               help="give up on the sweep after this many seconds")
+    chaos_service.add_argument("--cache-dir",
+                               help="result-cache directory (None: a fresh temporary one)")
+
+    protocols = target("protocols", _run_protocols, "print the protocol plugin registry")
+    protocols.add_argument("--format", choices=FORMATS, default="table",
+                           help="aligned table, JSON descriptors, or the markdown table "
+                           "(csv/plot)")
+    protocols.add_argument("--check-doc", nargs="+", metavar="PATH",
+                           help="verify each file embeds the registry's markdown table "
+                           "verbatim (exit 1 on drift)")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return args.func(args)
 
 
 if __name__ == "__main__":

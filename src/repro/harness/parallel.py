@@ -407,35 +407,18 @@ def run_specs_outcomes(
         else:
             pending.append(index)
 
-    jobs = resolve_jobs(jobs)
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = [(i, pool.submit(execute_spec, specs[i])) for i in pending]
-            for index, future in futures:
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    outcomes[index] = CellOutcome(
-                        specs[index], error=CellError.from_exception(exc)
-                    )
-                else:
-                    outcomes[index] = CellOutcome(specs[index], result=result)
-    else:
-        for index in pending:
-            try:
-                result = execute_spec(specs[index])
-            except Exception as exc:
-                outcomes[index] = CellOutcome(
-                    specs[index], error=CellError.from_exception(exc)
-                )
-            else:
-                outcomes[index] = CellOutcome(specs[index], result=result)
-
-    if cache is not None:
-        for index in pending:
-            outcome = outcomes[index]
-            if outcome is not None and outcome.result is not None:
-                cache.store(specs[index], outcome.result)
+    slots = run_tasks(
+        execute_spec, [specs[i] for i in pending], jobs=jobs, return_exceptions=True
+    )
+    for index, slot in zip(pending, slots):
+        if isinstance(slot, Exception):
+            outcomes[index] = CellOutcome(
+                specs[index], error=CellError.from_exception(slot)
+            )
+        else:
+            outcomes[index] = CellOutcome(specs[index], result=slot)
+            if cache is not None:
+                cache.store(specs[index], slot)
     return outcomes  # type: ignore[return-value]
 
 

@@ -26,7 +26,7 @@ class McCell:
 
 
 @dataclass
-class CellOutcome:
+class McOutcome:
     """Picklable summary of one explored cell."""
 
     test_name: str
@@ -75,7 +75,7 @@ class CellOutcome:
         return line + ")"
 
 
-def run_cell(cell: McCell) -> CellOutcome:
+def run_cell(cell: McCell) -> McOutcome:
     """Explore one cell (worker-process entry point)."""
     from repro.mc.artifact import export_counterexample
     from repro.mc.explorer import explore
@@ -86,7 +86,7 @@ def run_cell(cell: McCell) -> CellOutcome:
     test = CORPUS[cell.test_name]
     options = McOptions(max_schedules=cell.max_schedules)
     result = explore(test, cell.protocol, bound=cell.bound, options=options)
-    outcome = CellOutcome(
+    outcome = McOutcome(
         test_name=cell.test_name,
         protocol=cell.protocol,
         bound=cell.bound,

@@ -1,7 +1,10 @@
 """Tests for the command-line interface."""
 
+import sys
+
 import pytest
 
+from repro.harness.cli import _parser
 from repro.harness.cli import main as cli_main
 
 
@@ -140,3 +143,49 @@ class TestProfileTarget:
     def test_profile_requires_workload(self):
         with pytest.raises(SystemExit):
             cli_main(["profile"])
+
+
+class TestShellInvocation:
+    def test_cores_flag_read_from_sys_argv(self, monkeypatch, capsys):
+        """``main()`` without argv parses ``sys.argv`` (the console-script
+        and ``python -m`` path); ``--cores`` must override an app's paper
+        core count there exactly as with an explicit argv."""
+        monkeypatch.setattr(
+            sys, "argv",
+            ["denovosync-bench", "run", "--workload", "app/LU",
+             "--protocol", "MESI", "--cores", "4", "--app-scale", "0.005"],
+        )
+        assert cli_main() == 0
+        assert "LU under MESI on 4 cores" in capsys.readouterr().out
+
+
+class TestPerTargetFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig3", "--bound", "3"],
+            ["chaos", "--jobs", "2"],
+            ["serve", "--litmus", "mp"],
+            ["status", "--scale", "0.1"],
+        ],
+    )
+    def test_target_rejects_flag_it_does_not_read(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["sanitize"], {"cores": 16, "scale": 0.05}),
+            (["chaos"], {"cores": 16, "scale": 0.1, "invariant_level": "full"}),
+            (["chaos-service"], {"workers": 2, "scale": 0.3, "cell_deadline": 5.0}),
+            (["chaos-service", "--scale", "0.5"], {"scale": 0.5}),
+            (["run", "--workload", "tatas/counter"],
+             {"cores": None, "invariant_level": "off"}),
+            (["mc", "--bound", "-1"], {"bound": None}),
+        ],
+    )
+    def test_target_defaults(self, argv, expected):
+        args = _parser().parse_args(argv)
+        assert {key: getattr(args, key) for key in expected} == expected
