@@ -23,12 +23,11 @@ from collections.abc import Callable, Sequence
 from repro.config import SystemConfig, config_for_cores
 from repro.harness.runner import run_workload
 from repro.noc.faults import FaultPlan
-from repro.protocols.registry import chaos_comparison_set
-from repro.verify.checker import check_protocol_state
+from repro.protocols.registry import default_comparison_set
 
-#: The chaos acceptance set: every default-comparison protocol that
-#: advertises fault-injection hooks and runtime invariant checking.
-CHAOS_PROTOCOLS = chaos_comparison_set()
+#: The chaos acceptance set: the headline comparison protocols (every
+#: backend supports fault injection and runtime invariant checking).
+CHAOS_PROTOCOLS = default_comparison_set()
 
 #: How many differing words to name before truncating a mismatch report.
 MAX_REPORTED_DIFFS = 8
@@ -146,7 +145,7 @@ def run_chaos_cell(
         mismatches=diff_memory(
             baseline_snapshot, protocol.memory.snapshot()
         ),
-        violations=check_protocol_state(protocol),
+        violations=protocol.invariant_violations(),
     )
 
 

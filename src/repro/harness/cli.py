@@ -33,7 +33,6 @@ from repro.harness.parallel import default_cache
 from repro.harness.plots import render_figure
 from repro.harness.report import print_figure
 from repro.protocols.registry import (
-    chaos_comparison_set,
     default_comparison_set,
     formal_model_set,
     protocol_names,
@@ -680,7 +679,6 @@ def _run_protocols(args) -> int:
                 for key in (
                     "name", "label", "paper", "summary", "tracking",
                     "invalidation", "backoff", "requires_annotations",
-                    "fault_hooks", "runtime_invariants",
                     "default_comparison", "app_comparison",
                 )
             }
@@ -824,7 +822,7 @@ def _parser() -> argparse.ArgumentParser:
                          help="also dump the raw cProfile stats to this path")
 
     chaos = target("chaos", _run_chaos, "seeded fault-injection differential sweep")
-    _add_protocols(chaos, chaos_comparison_set())
+    _add_protocols(chaos, default_comparison_set())
     chaos.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3],
                        help="fault seeds to sweep")
     chaos.add_argument("--cores", type=int, default=16, help="core count")

@@ -77,8 +77,9 @@ class DiagnosticDump:
 
 
 def _protocol_chain(protocol) -> list:
-    """The wrapper chain outermost-first (TracingProtocol / FaultInjector
-    each expose the wrapped protocol as ``.inner``)."""
+    """The wrapper chain outermost-first (every
+    :class:`~repro.protocols.base.ProtocolWrapper` exposes the wrapped
+    protocol as ``.inner``)."""
     chain = [protocol]
     while hasattr(chain[-1], "inner"):
         chain.append(chain[-1].inner)

@@ -18,7 +18,6 @@ from repro.protocols.registry import (
     ProtocolInfo,
     RegistryView,
     app_comparison_set,
-    chaos_comparison_set,
     default_comparison_set,
     get_info,
     iter_protocols,
@@ -80,7 +79,6 @@ __all__ = [
     "unknown_protocol_error",
     "default_comparison_set",
     "app_comparison_set",
-    "chaos_comparison_set",
     "sanitize_comparison_set",
     "registry_table",
     "registry_markdown_table",

@@ -375,3 +375,122 @@ class CoherenceProtocol(ABC):
             return None
         region = self.allocator.region_of(addr)
         return region.region_id if region is not None else None
+
+
+class ProtocolWrapper:
+    """A transparent decorator around a protocol, held as ``inner``.
+
+    Forwards everything cores, the runner, the chaos harness and the
+    invariant audits use, so a wrapper (the trace recorder, the fault
+    injector) overrides only the operations it changes.  Deliberately
+    not a :class:`CoherenceProtocol`, and every forward is an explicit
+    method rather than ``__getattr__``: cores pick their fast paths by
+    the identity of ``type(protocol).set_time`` and
+    ``.sync_read_backoff``, so a wrapped protocol keeps the slow path
+    that calls through the wrapper.  ``debug_transients`` is not
+    forwarded: hang dumps walk the ``inner`` chain and collect it from
+    each layer that defines its own.
+    """
+
+    def __init__(self, inner: CoherenceProtocol):
+        self.inner = inner
+
+    @property
+    def name(self) -> str:
+        return self.inner.name
+
+    @property
+    def config(self) -> SystemConfig:
+        return self.inner.config
+
+    @property
+    def memory(self) -> BackingStore:
+        return self.inner.memory
+
+    @property
+    def traffic(self) -> TrafficLedger:
+        return self.inner.traffic
+
+    @property
+    def counters(self) -> ProtocolCounters:
+        return self.inner.counters
+
+    @property
+    def now(self) -> int:
+        return self.inner.now
+
+    @property
+    def allocator(self) -> RegionAllocator | None:
+        return self.inner.allocator
+
+    def set_time(self, now: int) -> None:
+        self.inner.set_time(now)
+
+    def sync_read_backoff(self, core_id: int, addr: int, spinning: bool = False) -> int:
+        return self.inner.sync_read_backoff(core_id, addr, spinning=spinning)
+
+    def subscribe_line_change(
+        self, core_id: int, addr: int, callback: Callable[[int], None]
+    ) -> bool:
+        return self.inner.subscribe_line_change(core_id, addr, callback)
+
+    def on_acquire(self, core_id: int, addr: int) -> None:
+        self.inner.on_acquire(core_id, addr)
+
+    def check_invariants(self) -> None:
+        self.inner.check_invariants()
+
+    def invariant_violations(self) -> list[str]:
+        return self.inner.invariant_violations()
+
+    def force_evict(self, core_id: int, line: int) -> bool:
+        return self.inner.force_evict(core_id, line)
+
+    def debug_resident_lines(self, core_id: int) -> list[int]:
+        return self.inner.debug_resident_lines(core_id)
+
+    def debug_addr_state(self, addr: int) -> str:
+        return self.inner.debug_addr_state(addr)
+
+    def load(
+        self,
+        core_id: int,
+        addr: int,
+        sync: bool = False,
+        ticketed: bool = False,
+        acquire: bool = False,
+    ) -> Access:
+        return self.inner.load(
+            core_id, addr, sync=sync, ticketed=ticketed, acquire=acquire
+        )
+
+    def store(
+        self,
+        core_id: int,
+        addr: int,
+        value: int,
+        sync: bool = False,
+        release: bool = False,
+        ticketed: bool = False,
+    ) -> Access:
+        return self.inner.store(
+            core_id, addr, value, sync=sync, release=release, ticketed=ticketed
+        )
+
+    def rmw(
+        self,
+        core_id: int,
+        addr: int,
+        fn: Callable[[int], int | None],
+        release: bool = False,
+        ticketed: bool = False,
+        acquire: bool = False,
+    ) -> Access:
+        return self.inner.rmw(
+            core_id, addr, fn, release=release, ticketed=ticketed, acquire=acquire
+        )
+
+    def self_invalidate(
+        self, core_id: int, regions: list[Region], flush_all: bool = False
+    ) -> int:
+        return self.inner.self_invalidate(core_id, regions, flush_all=flush_all)

@@ -1,8 +1,13 @@
-"""Runtime coherence invariant checker.
+"""The coherence invariants: their one definition.
 
-:mod:`repro.verify.checker` audits protocol state at quiescent points
-(exhaustive small-scope exploration, final-state tests).  This module is
-the *in-flight* version: protocols call :func:`verify` from
+Each backend's
+:meth:`~repro.protocols.base.CoherenceProtocol.invariant_violations`
+returns the messages of the functions below, and every audit goes
+through that method: the exhaustive explorer
+(:func:`repro.verify.explore_protocol`) after each explored step, the
+chaos differential and the final-state tests on a finished run, and the
+*in-flight* check.  For the last, protocols call
+:meth:`~repro.protocols.base.CoherenceProtocol.check_invariants` from
 :meth:`~repro.protocols.base.CoherenceProtocol.set_time` — i.e. just
 before every operation commits, when all state is architecturally settled
 — at a rate chosen by ``SystemConfig.invariant_level``:
@@ -71,13 +76,6 @@ class InvariantViolation(AssertionError):
             f"[{protocol_name}] {len(self.violations)} coherence invariant "
             f"violation(s) at cycle {now}:\n{detail}"
         )
-
-
-def verify(protocol) -> None:
-    """Raise :class:`InvariantViolation` if ``protocol`` is inconsistent."""
-    violations = protocol.invariant_violations()
-    if violations:
-        raise InvariantViolation(protocol.name, protocol.now, violations)
 
 
 # -- MESI ---------------------------------------------------------------------

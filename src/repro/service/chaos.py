@@ -8,7 +8,8 @@ real worker pool — while a sweep is in flight:
 * **worker murder**: SIGKILLs live worker processes mid-cell (the
   production shape of an OOM kill or segfault), which breaks the
   ``ProcessPoolExecutor`` outright;
-* **poisoned cells**: cells whose materialization raises in the worker,
+* **poisoned cells**: well-formed cells whose one-event budget cannot
+  finish the run, so they raise in the worker on every attempt,
   exercising the retry/backoff path to a structured terminal failure;
 * **slow cells**: cells whose simulation overruns the per-cell deadline,
   exercising deadline enforcement and the pool recycle that frees the
@@ -45,15 +46,16 @@ from dataclasses import dataclass, field
 
 from repro.config import config_for_cores
 from repro.harness.parallel import ResultCache, RunSpec, kernel_cell
-from repro.protocols.registry import chaos_comparison_set
+from repro.protocols.registry import default_comparison_set
 from repro.service.client import ServiceClient
 from repro.service.server import SweepService
 from repro.service.supervisor import RetryPolicy
 from repro.workloads.base import KernelSpec
 
-#: Kernel that does not exist: materialization raises ``KeyError`` inside
-#: the worker on every attempt (a deterministically poisoned cell).
-POISON_KERNEL = "chaos-no-such-kernel"
+#: Event budget of a poisoned cell: too small to finish any run, so the
+#: simulator raises ``RuntimeError`` inside the worker on every attempt.
+#: (A cell naming an unknown kernel is rejected when the job is posted.)
+POISON_MAX_EVENTS = 1
 
 
 @dataclass(frozen=True)
@@ -66,8 +68,8 @@ class ChaosConfig:
     #: seconds between observing a running cell and pulling the trigger.
     kill_interval: float = 0.3
     cores: int = 16
-    #: registry-derived default: every chaos-capable protocol.
-    protocols: tuple = field(default_factory=chaos_comparison_set)
+    #: registry-derived default: the headline comparison set.
+    protocols: tuple = field(default_factory=default_comparison_set)
     kernels: tuple = ("counter", "stack")
     #: scale of the healthy cells — large enough that kills land mid-cell.
     scale: float = 0.3
@@ -168,8 +170,9 @@ def poison_specs(config: ChaosConfig) -> list[RunSpec]:
     system = config_for_cores(config.cores)
     return [
         RunSpec(
-            kernel_cell("tatas", POISON_KERNEL, KernelSpec(scale=config.scale)),
+            kernel_cell("tatas", "counter", KernelSpec(scale=config.scale)),
             "MESI", system, seed=config.seed + i,
+            max_events=POISON_MAX_EVENTS,
         )
         for i in range(config.poison_cells)
     ]
@@ -264,7 +267,7 @@ def run_service_chaos(config: ChaosConfig = ChaosConfig()) -> ChaosReport:
             "poisoned cells settled failed after retry budget",
             all(
                 c["status"] == "failed"
-                and c["error"]["kind"] == "KeyError"
+                and c["error"]["kind"] == "RuntimeError"
                 # Dispatches can exceed the retry budget: pool recycles
                 # re-submit a cell without consuming a (transient) retry.
                 and c["attempts"] >= config.max_retries

@@ -30,7 +30,7 @@ from repro.config import (
     SystemConfig,
     config_for_cores,
 )
-from repro.harness.parallel import RunSpec
+from repro.harness.parallel import RunSpec, materialize_workload
 from repro.harness.runner import DEFAULT_MAX_EVENTS
 from repro.protocols.registry import protocol_names, unknown_protocol_error
 
@@ -66,6 +66,16 @@ def spec_from_dict(payload: dict) -> RunSpec:
         raise ValueError(f"cell is missing required field {exc.args[0]!r}") from None
     if not isinstance(workload, tuple) or not workload:
         raise ValueError("cell 'workload' must be a non-empty descriptor list")
+    try:
+        # Materialize now (nothing is built yet, so it is cheap): an
+        # unknown kernel/app or a malformed descriptor is then a 400
+        # instead of a cell that raises in the worker on every retry.
+        materialize_workload(workload)
+    except (ValueError, KeyError, TypeError, IndexError) as exc:
+        raise ValueError(
+            f"cell 'workload' {workload!r} is not runnable: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None
     if not isinstance(protocol, str):
         raise ValueError("cell 'protocol' must be a string")
     if protocol not in protocol_names():

@@ -8,13 +8,17 @@ operation sequences, drive the protocol through each, and verify that
 all synchronization accesses observe the latest committed write and that
 the structural invariants (single writer, single registered reader,
 exclusive-owner uniqueness) hold after every step.
+
+The structural invariants are not defined here: every check — in flight,
+at a run's final state, and after each explored step — calls the
+protocol's own ``invariant_violations()``, backed by
+:mod:`repro.protocols.invariants`.
 """
 
 from repro.verify.checker import (
     CheckFailure,
     Op,
     VerificationReport,
-    check_protocol_state,
     data_store,
     explore_protocol,
     rmw_inc,
@@ -26,7 +30,6 @@ __all__ = [
     "CheckFailure",
     "Op",
     "VerificationReport",
-    "check_protocol_state",
     "data_store",
     "explore_protocol",
     "rmw_inc",

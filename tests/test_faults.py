@@ -108,9 +108,27 @@ class TestFaultInjector:
             keep_protocol=True,
         )
         assert len(result.meta["trace"]) > 0
-        from repro.verify.checker import check_protocol_state
 
-        assert check_protocol_state(result.meta["protocol"]) == []
+        assert result.meta["protocol"].invariant_violations() == []
+
+
+    def test_wrapper_chain_reports_corruption_of_the_inner_protocol(self):
+        """Both wrappers forward the audit: a corruption planted in the
+        wrapped protocol is reported through the two-wrapper chain."""
+        from repro.mem.l1 import MesiState
+        from repro.noc.faults import FaultInjector
+        from repro.protocols import make_protocol
+        from repro.trace.recorder import TracingProtocol
+
+        protocol = make_protocol("MESI", config_for_cores(4))
+        chain = TracingProtocol(FaultInjector(protocol, FaultPlan(seed=2)))
+        chain.load(0, 100, ticketed=True)
+        assert chain.invariant_violations() == []
+        # Corrupt: a copy the directory never granted.
+        protocol.l1s[3].insert(protocol.amap.line_of(100), MesiState.SHARED)
+        violations = chain.invariant_violations()
+        assert violations == protocol.invariant_violations()
+        assert any("coexists with copies at cores [3]" in v for v in violations)
 
 
 class TestDiffMemory:

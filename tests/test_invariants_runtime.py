@@ -12,8 +12,7 @@ from repro.config import config_for_cores
 from repro.harness.runner import run_workload
 from repro.mem.l1 import DeNovoState, MesiState
 from repro.protocols import make_protocol
-from repro.protocols.invariants import InvariantViolation, verify
-from repro.verify.checker import check_protocol_state
+from repro.protocols.invariants import InvariantViolation
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import make_kernel
 
@@ -39,7 +38,7 @@ class TestMesiInvariants:
         protocol.set_time(2 * STEP)
         protocol.load(1, 0, ticketed=True)
         assert protocol.invariant_violations() == []
-        verify(protocol)  # must not raise
+        protocol.check_invariants()  # must not raise
 
     def test_two_modified_copies_detected(self):
         protocol = _mesi(level="off")
@@ -47,7 +46,7 @@ class TestMesiInvariants:
         protocol.store(0, 0, 1, sync=True, ticketed=True)  # core 0: line 0 in M
         protocol.l1s[1].insert(0, MesiState.MODIFIED)  # illegal second M copy
         with pytest.raises(InvariantViolation) as excinfo:
-            verify(protocol)
+            protocol.check_invariants()
         message = str(excinfo.value)
         assert "line 0" in message
         assert "coexists with copies at cores [1]" in message
@@ -102,7 +101,7 @@ class TestDeNovoInvariants:
         protocol.set_time(2 * STEP)
         protocol.load(1, 0, ticketed=True)
         assert protocol.invariant_violations() == []
-        verify(protocol)
+        protocol.check_invariants()
 
     def test_stale_registry_pointer_detected(self):
         protocol = _denovo(level="off")
@@ -110,7 +109,7 @@ class TestDeNovoInvariants:
         protocol.store(0, 0, 1, sync=True, ticketed=True)  # word 0 registered at 0
         protocol.l1s[0].invalidate_word(0)  # copy gone, registry not updated
         with pytest.raises(InvariantViolation) as excinfo:
-            verify(protocol)
+            protocol.check_invariants()
         message = str(excinfo.value)
         assert "word 0" in message
         assert "registry points at core 0" in message
@@ -177,4 +176,4 @@ class TestFullCheckingOnKernels:
             workload, protocol_name, config, seed=1, keep_protocol=True
         )
         assert result.cycles > 0
-        assert check_protocol_state(result.meta["protocol"]) == []
+        assert result.meta["protocol"].invariant_violations() == []

@@ -17,7 +17,6 @@ from repro.protocols import (
 from repro.protocols.registry import (
     ProtocolInfo,
     app_comparison_set,
-    chaos_comparison_set,
     default_comparison_set,
     get_info,
     iter_protocols,
@@ -89,20 +88,23 @@ class TestCapabilityQueries:
             "MESI", "DeNovoSync", "Neat", "SynCron",
         )
 
-    def test_chaos_filter_picks_exactly_the_advertised_protocols(self):
-        """The chaos sweep must select exactly the default-set backends
-        advertising fault hooks + runtime invariants — no hard-coding."""
+    def test_chaos_set_is_the_default_comparison_set(self):
+        """The chaos sweep selects exactly the default-set backends — no
+        hard-coding — and every one of them can be perturbed and audited."""
         from repro.harness.chaos import CHAOS_PROTOCOLS
+        from repro.protocols.base import CoherenceProtocol
 
         expected = tuple(
-            info.name
-            for info in iter_protocols()
-            if info.default_comparison
-            and info.fault_hooks
-            and info.runtime_invariants
+            info.name for info in iter_protocols() if info.default_comparison
         )
-        assert chaos_comparison_set() == expected
         assert CHAOS_PROTOCOLS == expected
+        for name in CHAOS_PROTOCOLS:
+            cls = get_info(name).cls
+            assert cls.force_evict is not CoherenceProtocol.force_evict
+            assert (
+                cls.invariant_violations
+                is not CoherenceProtocol.invariant_violations
+            )
 
     def test_sanitize_filter_picks_exactly_the_self_invalidators(self):
         from repro.protocols.registry import sanitize_comparison_set

@@ -34,12 +34,14 @@ def sweep_specs(protocols=PROTOCOLS, seed=1, name="counter"):
 
 
 def poisoned_spec(seed=1):
-    """A cell whose worker-side materialization raises (unknown kernel)."""
+    """A well-formed cell that raises in the worker on every attempt: its
+    one-event budget cannot finish the run."""
     return RunSpec(
-        kernel_cell("tatas", "no-such-kernel", KernelSpec(scale=SCALE)),
+        kernel_cell("tatas", "counter", KernelSpec(scale=SCALE)),
         "MESI",
         config_16(),
         seed=seed,
+        max_events=1,
     )
 
 
@@ -131,8 +133,8 @@ class TestEndToEnd:
         bad = status["cell_details"][2]
         assert all(c["status"] == "done" for c in good)
         assert bad["status"] == "failed"
-        assert bad["error"]["kind"] == "KeyError"
-        assert "no-such-kernel" in bad["error"]["message"]
+        assert bad["error"]["kind"] == "RuntimeError"
+        assert "max_events=1" in bad["error"]["message"]
         assert bad["error"]["traceback"]
 
         # The siblings were cached despite the poisoned cell: resubmitting
@@ -230,6 +232,11 @@ class TestWireFormat:
             ("protocol", "NoSuch", "unknown protocol"),
             ("max_events", -1, "max_events"),
             ("max_events", 0, "max_events"),
+            ("workload", ["bogus"], "not runnable.*descriptor kind"),
+            ("workload", ["kernel", "tatas", "nope", [1, 0.01, False], [], True],
+             "not runnable.*nope"),
+            ("workload", ["app", "NoSuchApp", 0.01], "not runnable.*NoSuchApp"),
+            ("workload", ["kernel", "tatas"], "not runnable"),
         ],
     )
     def test_unrunnable_cells_rejected_at_parse_time(self, field, value, match):

@@ -36,9 +36,10 @@ def specs_for(seeds, scale=0.02, protocol="MESI", name="counter"):
 
 
 def poisoned_spec(seed=1):
+    """Raises in the worker on every attempt: one event cannot finish it."""
     return RunSpec(
-        kernel_cell("tatas", "no-such-kernel", KernelSpec(scale=0.02)),
-        "MESI", config_16(), seed=seed,
+        kernel_cell("tatas", "counter", KernelSpec(scale=0.02)),
+        "MESI", config_16(), seed=seed, max_events=1,
     )
 
 
@@ -219,7 +220,7 @@ class TestWorkerKillRecovery:
             status = client.wait(job, timeout=120)
             assert status["status"] == "failed"
             cell = status["cell_details"][0]
-            assert cell["error"]["kind"] == "KeyError"
+            assert cell["error"]["kind"] == "RuntimeError"
             assert cell["attempts"] == 3  # default RetryPolicy.max_attempts
             assert client.healthz()["counters"]["cells_retried"] == 2
         finally:

@@ -118,3 +118,29 @@ class TestCheckerMachinery:
         )
         assert not report.ok
         assert "sync load saw" in report.failures[0].message
+
+    def test_detects_injected_structural_violation(self, monkeypatch):
+        """A protocol whose values stay right but whose registration
+        state goes wrong must be caught too: a sync store that leaves a
+        second Registered copy behind breaks single-registered-copy."""
+        from repro.mem.l1 import DeNovoState
+        from repro.protocols import denovosync0 as ds0mod
+
+        original = ds0mod.DeNovoSync0Protocol.sync_store
+
+        def broken(self, core_id, addr, value, release=False):
+            access = original(self, core_id, addr, value, release=release)
+            other = (core_id + 1) % len(self.l1s)
+            self.l1s[other].fill_word(addr, value, DeNovoState.REGISTERED)
+            return access
+
+        monkeypatch.setattr(ds0mod.DeNovoSync0Protocol, "sync_store", broken)
+        report = explore_protocol(
+            "DeNovoSync0", [[sync_store(A, 1)], [sync_load(A)]]
+        )
+        assert not report.ok
+        failure = report.failures[0]
+        assert failure.op == sync_store(A, 1)
+        assert "holds a Registered copy but the registry points at" in (
+            failure.message
+        )
