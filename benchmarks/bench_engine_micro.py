@@ -20,11 +20,10 @@ Each scenario reports two things:
 
 The scenarios stress the hybrid scheduler's distinct regimes: a serial
 hand-off chain (wheel fast path), a fan-out mixing near deltas with
-beyond-window deltas (wheel + heap interplay and migration), a cancel
-storm (tombstone compaction on both sides), one real kernel run (the
-end-to-end number the engine work was for), plus the epoch-execution
-regimes: independent per-core chains (batched drain) and a 64-core Neat
-spin-heavy kernel (spin fast-forward).  ``--compare --strict-counts``
+beyond-window deltas (wheel + heap interplay and migration), one real
+kernel run (the end-to-end number the engine work was for), plus the
+epoch-execution regimes: independent per-core chains (batched drain)
+and a 64-core Neat spin-heavy kernel (spin fast-forward).  ``--compare --strict-counts``
 additionally fails when any scenario lacks a baseline entry, so count
 gating covers new and existing scenarios alike.
 """
@@ -76,25 +75,6 @@ def _fanout_mix(n: int = 120_000):
     sim.call_after(0, fire, None)
     start = perf_counter()
     fired = sim.run()
-    return fired, perf_counter() - start
-
-
-def _cancel_churn(rounds: int = 50, batch: int = 2_000):
-    """Schedule storms, cancel half, drain: exercises compaction."""
-    sim = Simulator()
-
-    def noop():
-        return None
-
-    fired = 0
-    start = perf_counter()
-    for _ in range(rounds):
-        handles = [
-            sim.schedule_after((i * 13) % 3_000 + 1, noop) for i in range(batch)
-        ]
-        for handle in handles[::2]:
-            handle.cancel()
-        fired += sim.run()
     return fired, perf_counter() - start
 
 
@@ -151,7 +131,6 @@ def _spin_heavy():
 SCENARIOS = {
     "pingpong": (_pingpong, "events"),
     "fanout_mix": (_fanout_mix, "events"),
-    "cancel_churn": (_cancel_churn, "events"),
     "kernel_tatas_16c": (_kernel_ops, "cycles"),
     "uncontended_stretch": (_uncontended_stretch, "events"),
     "spin_heavy_64c": (_spin_heavy, "cycles"),

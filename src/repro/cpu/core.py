@@ -25,8 +25,9 @@ Spin-wait execution (:class:`~repro.cpu.isa.WaitLoad`):
 Hot-path structure: operations dispatch through a per-class handler table
 instead of an ``isinstance`` chain, and every event the core schedules
 goes through :meth:`~repro.sim.engine.Simulator.call_after` /
-``call_at`` with a method prebound in ``__init__`` — no closure and no
-``Event`` allocation per operation.  The state a retry needs (the op, the
+``call_at`` with a method prebound in ``__init__`` — no closure per
+operation, and the engine recycles its entries, so steady-state
+scheduling allocates nothing.  The state a retry needs (the op, the
 RMW operands, the spin re-probe cycle) lives in per-core fields, which is
 sound because an in-order blocking core has exactly one operation in
 flight.

@@ -55,5 +55,5 @@ class ScheduleController:
         gated = self._parked.pop(core_id)
         core = gated.core
         core._release_granted = True
-        core.sim.schedule_after(0, gated.cont)
+        core.sim.call_after(0, gated.cont)
         return gated

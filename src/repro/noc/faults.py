@@ -112,11 +112,11 @@ class FaultInjector(ProtocolWrapper):
         if keep_running is not None:
             self._keep_running = keep_running
         for cycle, core_id, line in self.plan.scripted_evictions:
-            sim.schedule_at(
+            sim.call_at(
                 cycle, lambda c=core_id, ln=line: self._scripted_evict(c, ln)
             )
         if self.plan.evict_period > 0:
-            sim.schedule_after(self.plan.evict_period, self._storm_tick)
+            sim.call_after(self.plan.evict_period, self._storm_tick)
 
     def _scripted_evict(self, core_id: int, line: int) -> None:
         self.inner.set_time(self._sim.now)
@@ -136,7 +136,7 @@ class FaultInjector(ProtocolWrapper):
             line = self.rng.choice(lines)
             if self.inner.force_evict(core_id, line):
                 self.forced_evictions += 1
-        self._sim.schedule_after(self.plan.evict_period, self._storm_tick)
+        self._sim.call_after(self.plan.evict_period, self._storm_tick)
 
     # -- perturbation helpers ----------------------------------------------
 

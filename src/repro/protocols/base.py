@@ -25,11 +25,6 @@ from repro.noc.messages import MessageClass, control_flits, data_flits
 from repro.noc.traffic import TrafficLedger
 from repro.stats.collector import ProtocolCounters
 
-#: Backwards-compatible aliases for the default tuning constants; the
-#: live values come from ``SystemConfig.tuning`` (see repro.config).
-BANK_OCCUPANCY = 4
-OWNERSHIP_OCCUPANCY = 16
-
 #: Flit sizing is static, so the per-message helpers are hoisted out of
 #: the traffic-recording hot path: one module constant for control
 #: messages and a payload-size memo for data messages (real payloads are

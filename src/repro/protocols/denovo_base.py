@@ -31,9 +31,6 @@ from repro.noc.messages import MessageClass, data_flits
 from repro.protocols.base import Access, CoherenceProtocol, _CONTROL_FLITS
 from repro.protocols.invariants import denovo_violations
 
-#: Cycles for the local flash self-invalidation instruction.
-SELF_INVALIDATE_LATENCY = 1
-
 
 class DeNovoBaseProtocol(CoherenceProtocol):
     """Data-access behaviour common to DeNovoSync0 and DeNovoSync."""
@@ -245,12 +242,6 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         self._mem_values[addr] = value
         return Access(old, self._l1_hit, hit=False)
 
-    @property
-    def STORE_AGGREGATION_WINDOW(self) -> int:
-        """Cycles within which data stores to one line combine into a single
-        registration message (the L1 store buffer's per-line word mask)."""
-        return self.config.tuning.store_aggregation_window
-
     def _store_aggregates(self, core_id: int, addr: int) -> bool:
         """True when this data-store registration can ride along a recent
         registration message for the same line (no remote owner involved).
@@ -318,7 +309,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         # transfer latency.
         chain_end = self._reg_chain.get(addr, 0)
 
-        link = self._chain_link  # == _chain_link_cost(<any leg>)
+        link = self._chain_link
         if prev is not None and prev != core_id:
             a = hf[core_id * n + bank]
             b = hf[bank * n + prev]
@@ -358,14 +349,6 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         self.registry[addr] = core_id
         self._reg_chain[addr] = completion
         return latency, cold
-
-    def _chain_link_cost(self, src: int, dst: int) -> int:
-        """Serialization cost of one link in a pipelined registration chain:
-        the MSHR processing at each hand-off.  The network legs of
-        consecutive forwards overlap (the LLC dispatches them as they
-        arrive), so only the L1's servicing of its stored request
-        serializes."""
-        return self.config.tuning.chain_link_cost
 
     # -- synchronization accesses: defined by subclasses ----------------------
 

@@ -117,13 +117,19 @@ def mesi_violations(protocol) -> list[str]:
                     f"directory does not know about (sharers "
                     f"{sorted(entry.sharers)})"
                 )
-    # The cache-side view of single-owner: an E/M copy anywhere must be
-    # the directory's recorded owner for that line.
+    # The cache-side view: every cached copy needs a directory entry
+    # (entries are never deleted, so a copy without one was never
+    # granted), and an E/M copy must be the recorded owner of its line.
     for core_id, l1 in enumerate(protocol.l1s):
         for line, state in l1.lines_and_states():
-            if state in (MesiState.EXCLUSIVE, MesiState.MODIFIED):
-                entry = protocol._directory.get(line)
-                owner = entry.exclusive_owner if entry is not None else None
+            entry = protocol._directory.get(line)
+            if entry is None:
+                failures.append(
+                    f"line {line}: core {core_id} holds {state} but the "
+                    f"directory has no entry for the line"
+                )
+            elif state in (MesiState.EXCLUSIVE, MesiState.MODIFIED):
+                owner = entry.exclusive_owner
                 if owner != core_id:
                     failures.append(
                         f"line {line}: core {core_id} holds {state} but the "

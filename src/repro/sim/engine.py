@@ -18,90 +18,35 @@ contract above is independent of which structure an event lands in):
   ``[time, seq, ...]`` so ``heapq`` compares them at C speed; (time, seq)
   is unique, so a comparison never reaches the non-ordered fields.
 
-Hot-path scheduling goes through :meth:`Simulator.call_at` /
+Scheduling goes through :meth:`Simulator.call_at` /
 :meth:`Simulator.call_after`, which take a prebound ``(callback, arg)``
 pair, return no handle, and recycle entry storage through a free list —
-zero allocations per event in steady state.  :meth:`Simulator.schedule_at`
-/ :meth:`Simulator.schedule_after` return a cancellable :class:`Event`
-handle instead, for the callers that need to cancel.
+zero allocations per event in steady state.
 
 :meth:`Simulator.run` is the one run loop: it drains each uncontended
 wheel cycle in place (an *epoch*) and fires an overflow-heap entry on its
 own whenever one is the frontier.
 
-Free-list lifetime rules: only entries created by ``call_at`` /
-``call_after`` are recyclable.  They are never handed out (no handle →
-no cancel → no external alias), so an entry can be recycled as soon as
-the engine drops its last internal reference: immediately after firing
-for heap entries, and at bucket-clear time for wheel entries.  Entries
-backing a public :class:`Event` are never recycled — the handle may
-outlive the firing.
+Free-list lifetime rule: no entry is ever handed out (no handle → no
+external alias), so an entry is recycled as soon as the engine drops its
+last internal reference: immediately after firing for heap entries, and
+once its cycle is fully drained for wheel entries.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from collections.abc import Callable
 
 #: Sentinel ``arg`` meaning "invoke the callback with no argument".
 _NO_ARG = object()
 
-# Entry layout (a plain list; index constants below):
+# Entry layout (a plain list):
 #   [0] time          absolute firing cycle
 #   [1] seq           global schedule order (ties within a cycle)
-#   [2] callback      None once fired or cancelled (the liveness test)
+#   [2] callback      None once fired (drops the reference early)
 #   [3] arg           _NO_ARG, or the single positional argument
 #   [4] scheduled_at  cycle the entry was created (for error notes)
-#   [5] flags         _F_RECYCLABLE and/or _F_IN_HEAP
-_F_RECYCLABLE = 1  # internal call_at/call_after entry: may enter the free list
-_F_IN_HEAP = 2  # lives in the heap, not the wheel (cancel bookkeeping)
-
-
-class Event:
-    """A handle for a scheduled callback (cancellation + introspection).
-
-    ``cancel()`` is idempotent; cancelling an event that already fired is
-    a no-op.  The handle stays valid after the event fires.
-    """
-
-    __slots__ = ("_entry", "_sim", "_cancelled")
-
-    def __init__(self, entry: list, sim: "Simulator"):
-        self._entry = entry
-        self._sim = sim
-        self._cancelled = False
-
-    @property
-    def time(self) -> int:
-        return self._entry[0]
-
-    @property
-    def seq(self) -> int:
-        return self._entry[1]
-
-    @property
-    def scheduled_at(self) -> int:
-        return self._entry[4]
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def cancel(self) -> None:
-        if self._cancelled:
-            return
-        entry = self._entry
-        if entry[2] is None:  # already fired
-            return
-        self._cancelled = True
-        entry[2] = None
-        self._sim._event_cancelled(entry)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else (
-            "fired" if self._entry[2] is None else "pending"
-        )
-        return f"Event(time={self._entry[0]}, seq={self._entry[1]}, {state})"
 
 
 class Simulator:
@@ -109,7 +54,7 @@ class Simulator:
 
     >>> sim = Simulator()
     >>> fired = []
-    >>> _ = sim.schedule_at(10, lambda: fired.append(sim.now))
+    >>> sim.call_at(10, lambda: fired.append(sim.now))
     >>> sim.run()
     1
     >>> fired
@@ -120,10 +65,6 @@ class Simulator:
     #: heap.  Must be a power of two (bucket index is ``time & mask``).
     WHEEL_SIZE = 1024
 
-    #: Compact a queue side once it holds at least this many entries and
-    #: cancelled entries outnumber live ones (see :meth:`_event_cancelled`).
-    COMPACT_MIN_SIZE = 64
-
     def __init__(self) -> None:
         size = self.WHEEL_SIZE
         # Instance copy of the class constant: the scheduling hot path
@@ -133,17 +74,13 @@ class Simulator:
         self._wheel: list[list] = [[] for _ in range(size)]
         self._wheel_mask = size - 1
         self._occ = 0  # bitmap: bit i set when bucket i is non-empty
-        self._occ_full = (1 << size) - 1
-        self._wheel_live = 0  # live (non-cancelled, unfired) wheel entries
-        self._wheel_dead = 0  # cancelled wheel entries not yet reclaimed
         self._heap: list[list] = []
-        self._heap_live = 0
         self._seq = 0
-        self._free: list[list] = []  # recycled internal entries
-        # The bucket currently being drained: entries at index <
-        # _drain_pos of bucket (_drain_time & mask) are dead (fired or
-        # cancelled) and are skipped without re-inspection.
-        self._drain_time = -1
+        self._free: list[list] = []  # recycled entries
+        # Entries already fired from the bucket of cycle ``now``.  Non-zero
+        # only while that cycle is being drained, or after a run stopped
+        # part-way through it (max_events, or an exception); every other
+        # bucket holds only unfired entries.
         self._drain_pos = 0
         self.now = 0
         #: Cycle of the most recent *architectural* progress.  Cores stamp
@@ -173,28 +110,12 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
 
-    def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` at absolute cycle ``time``; returns a handle."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
-        seq = self._seq
-        self._seq = seq + 1
-        entry = [time, seq, callback, _NO_ARG, self.now, 0]
-        self._insert(entry, time)
-        return Event(entry, self)
-
-    def schedule_after(self, delay: int, callback: Callable[[], None]) -> Event:
-        """Schedule ``callback`` to fire ``delay`` cycles from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        return self.schedule_at(self.now + delay, callback)
-
     def call_at(self, time: int, callback: Callable, arg=_NO_ARG) -> None:
-        """Hot-path schedule: no handle, no allocation in steady state.
+        """Schedule ``callback`` at absolute cycle ``time``; no handle.
 
         ``callback`` fires as ``callback(arg)`` (or ``callback()`` when
         ``arg`` is omitted).  The entry storage is recycled through a
-        free list; there is no way to cancel.
+        free list, so steady-state scheduling allocates nothing.
         """
         now = self.now
         if time < now:
@@ -209,9 +130,8 @@ class Simulator:
             entry[2] = callback
             entry[3] = arg
             entry[4] = now
-            entry[5] = _F_RECYCLABLE
         else:
-            entry = [time, seq, callback, arg, now, _F_RECYCLABLE]
+            entry = [time, seq, callback, arg, now]
         if time - now < self._wsize:
             idx = time & self._wheel_mask
             bucket = self._wheel[idx]
@@ -222,14 +142,11 @@ class Simulator:
                 # per insert.
                 self._occ |= 1 << idx
             bucket.append(entry)
-            self._wheel_live += 1
         else:
-            entry[5] = _F_RECYCLABLE | _F_IN_HEAP
             heappush(self._heap, entry)
-            self._heap_live += 1
 
     def call_after(self, delay: int, callback: Callable, arg=_NO_ARG) -> None:
-        """Hot-path relative schedule; see :meth:`call_at`.
+        """Schedule ``callback`` ``delay`` cycles from now; see :meth:`call_at`.
 
         The :meth:`call_at` body is inlined (minus the cannot-schedule-
         in-the-past check, subsumed by the delay sign check): cores
@@ -250,125 +167,43 @@ class Simulator:
             entry[2] = callback
             entry[3] = arg
             entry[4] = now
-            entry[5] = _F_RECYCLABLE
         else:
-            entry = [time, seq, callback, arg, now, _F_RECYCLABLE]
+            entry = [time, seq, callback, arg, now]
         if delay < self._wsize:
             idx = time & self._wheel_mask
             bucket = self._wheel[idx]
             if not bucket:
                 self._occ |= 1 << idx
             bucket.append(entry)
-            self._wheel_live += 1
         else:
-            entry[5] = _F_RECYCLABLE | _F_IN_HEAP
             heappush(self._heap, entry)
-            self._heap_live += 1
 
-    def _insert(self, entry: list, time: int) -> None:
-        """Place a fresh entry in the wheel or the overflow heap."""
-        if time - self.now < self._wsize:
-            idx = time & self._wheel_mask
-            bucket = self._wheel[idx]
-            if not bucket:
-                self._occ |= 1 << idx
-            bucket.append(entry)
-            self._wheel_live += 1
-        else:
-            entry[5] |= _F_IN_HEAP
-            heappush(self._heap, entry)
-            self._heap_live += 1
-
-    # -- cancellation -------------------------------------------------------
-
-    def _event_cancelled(self, entry: list) -> None:
-        """Maintain live counters on cancel; compact mostly-dead storage.
-
-        The exploration driver cancels heavily, so each side is rebuilt
-        from the survivors once cancelled entries outnumber live ones
-        (amortized O(1) per cancel).
-        """
-        if entry[5] & _F_IN_HEAP:
-            self._heap_live -= 1
-            heap = self._heap
-            if len(heap) >= self.COMPACT_MIN_SIZE and self._heap_live * 2 < len(heap):
-                self._heap = [e for e in heap if e[2] is not None]
-                heapify(self._heap)
-        else:
-            self._wheel_live -= 1
-            self._wheel_dead += 1
-            if (
-                self._wheel_live + self._wheel_dead >= self.COMPACT_MIN_SIZE
-                and self._wheel_live < self._wheel_dead
-            ):
-                self._compact_wheel()
-
-    def _compact_wheel(self) -> None:
-        """Drop every dead entry from every bucket; rebuild the bitmap."""
-        occ = 0
-        free = self._free
-        for idx, bucket in enumerate(self._wheel):
-            if not bucket:
-                continue
-            live = [e for e in bucket if e[2] is not None]
-            for e in bucket:
-                if e[2] is None and e[5] & _F_RECYCLABLE:
-                    free.append(e)
-            if live:
-                bucket[:] = live
-                occ |= 1 << idx
-            else:
-                bucket.clear()
-        self._occ = occ
-        self._wheel_dead = 0
-        # Dead prefixes are gone; restart the drain bucket (only live
-        # entries of the drained cycle, if any, remain, now at index 0).
-        self._drain_pos = 0
-
-    def _reclaim_bucket(self, idx: int, bucket: list) -> None:
-        """Clear a bucket containing only dead entries."""
-        free = self._free
-        dead = 0
-        for e in bucket:
-            if e[5] & _F_RECYCLABLE:
-                free.append(e)
-            else:
-                dead += 1
-        # Cancelled (public) tombstones leave with the bucket; keep the
-        # compaction trigger roughly honest.
-        if dead and self._wheel_dead:
-            self._wheel_dead = max(0, self._wheel_dead - dead)
+    def _clear_drained(self, idx: int) -> None:
+        """Recycle the fired entries of drained bucket ``idx`` and free it."""
+        bucket = self._wheel[idx]
+        self._free.extend(bucket)
         bucket.clear()
         self._occ &= ~(1 << idx)
-        if idx == (self._drain_time & self._wheel_mask):
-            self._drain_time = -1
-            self._drain_pos = 0
+        self._drain_pos = 0
 
     # -- execution ----------------------------------------------------------
 
-    def run(self, until: int | None = None, max_events: int | None = None) -> int:
-        """Run events until the queue drains (or limits hit); return event count.
+    def run(self, max_events: int | None = None) -> int:
+        """Run events until the queue drains; return the fired-event count.
 
-        ``until`` stops the simulation once the next event lies beyond that
-        cycle — events scheduled exactly *at* ``until`` still fire — and then
-        advances ``now`` to ``until`` (i.e. to ``min(until, next-event
-        time)``), so callers interleaving ``run(until=t)`` with
-        ``schedule_at`` cannot accidentally schedule before ``t``; a
-        ``schedule_at(t - k)`` afterwards raises like any other
-        in-the-past schedule.  A stale ``until`` (``until < now``) fires
-        nothing and leaves the clock alone.  ``max_events`` bounds the
-        number of fired events (a safety net against livelocked workloads)
-        and raises — only when a fireable event remains — without touching
-        the clock.  With a :attr:`watchdog`, it is polled every
-        ``check_interval`` fired events.
+        ``max_events`` bounds the number of fired events (a safety net
+        against livelocked workloads) and raises — only when a fireable
+        event remains — without touching the clock.  With a
+        :attr:`watchdog`, it is polled every ``check_interval`` fired
+        events.
 
         Each iteration locates the frontier and fires it.  Usually the
         frontier is an *epoch*: a whole occupied wheel cycle whose events
         no overflow-heap event can interleave, drained in place.  The
         proof rests on two structural invariants:
 
-        * every live wheel entry lies in ``[now, now + WHEEL_SIZE)``, so
-          a bucket holds live entries of exactly one cycle and the next
+        * every wheel entry lies in ``[now, now + WHEEL_SIZE)``, so a
+          bucket holds entries of exactly one cycle and the next
           occupied bucket pins the next event time ``t``;
         * heap entries at a time ``t`` were necessarily scheduled while
           ``t - now >= WHEEL_SIZE`` — i.e. strictly before any wheel
@@ -377,11 +212,15 @@ class Simulator:
           ``>= t + WHEEL_SIZE``.  Once the heap head is past ``t`` the
           whole cycle belongs to the wheel.
 
+        The bucket of cycle ``t`` is therefore cleared (its entries
+        recycled, its occupancy bit dropped) the moment it is fully
+        drained: nothing in it can belong to a later cycle.
+
         When the heap head is the frontier instead, it is popped and
         fired alone through the same fire block, and the cause is
         counted: ``heap-due`` (an overflow event — backoff expiry,
         watchdog horizon — precedes the next wheel entry) or
-        ``heap-only`` (nothing live in the wheel; the steady state of
+        ``heap-only`` (the wheel is empty; the steady state of
         :class:`ReferenceHeapSimulator`).  Either way events fire in
         exactly the canonical (cycle, seq) order.
 
@@ -389,7 +228,8 @@ class Simulator:
         same traceback) but carries a PEP 678 note with
         the event's firing cycle, sequence number, and the cycle at which
         it was scheduled, so a protocol bug deep in a callback can be
-        attributed to its scheduling site.
+        attributed to its scheduling site.  The engine stays resumable:
+        a later :meth:`run` fires the remaining events in order.
         """
         fired = 0
         batched = 0
@@ -410,65 +250,32 @@ class Simulator:
         fallbacks = self._epoch_fallbacks
         try:
             while True:
-                while heap and heap[0][2] is None:
-                    e = heappop(heap)
-                    if e[5] & _F_RECYCLABLE:  # pragma: no cover - internal entries
-                        free.append(e)  # cannot be cancelled; defensive only
-                # Locate the next occupied wheel cycle t and the position
-                # of its first live entry.
+                # Locate the next occupied wheel cycle t.  Every wheel
+                # entry lies in [now, now + size), so its bucket is the
+                # lowest occupied index >= now's, else (wrapping) the
+                # lowest occupied index overall.  Splitting high/low
+                # avoids materializing a rotated copy of the
+                # (WHEEL_SIZE-bit) bitmap.  Only the bucket of cycle now
+                # can hold fired entries, and it is the one found first.
                 t = -1
                 bucket = None
-                pos = 0
-                if self._wheel_live:
+                occ = self._occ
+                if occ:
                     now = self.now
-                    while True:
-                        occ = self._occ
-                        if occ == 0:
-                            break
-                        base = now & mask
-                        # Any live wheel entry lies in [now, now + size),
-                        # so the next candidate bucket is the lowest
-                        # occupied index >= base, else (wrapping) the
-                        # lowest occupied index overall.  Splitting
-                        # high/low avoids materializing a rotated copy of
-                        # the (WHEEL_SIZE-bit) bitmap.
-                        high = occ >> base
-                        if high:
-                            cand = now + ((high & -high).bit_length() - 1)
-                        else:
-                            cand = (
-                                now + self._wsize - base
-                                + ((occ & -occ).bit_length() - 1)
-                            )
-                        idx = cand & mask
-                        bucket = wheel[idx]
-                        pos = self._drain_pos if cand == self._drain_time else 0
-                        n = len(bucket)
-                        while pos < n:
-                            if bucket[pos][2] is not None:
-                                break
-                            pos += 1
-                        else:
-                            # Nothing live in this bucket: reclaim it (dead
-                            # tombstones, possibly from cycles long past)
-                            # and drop its occupancy bit, then look again.
-                            self._reclaim_bucket(idx, bucket)
-                            continue
-                        t = cand
-                        break
+                    base = now & mask
+                    high = occ >> base
+                    if high:
+                        t = now + ((high & -high).bit_length() - 1)
+                    else:
+                        t = now + self._wsize - base + ((occ & -occ).bit_length() - 1)
+                    bucket = wheel[t & mask]
                 if heap and (
                     t < 0
                     or heap[0][0] < t
-                    or (heap[0][0] == t and heap[0][1] < bucket[pos][1])
+                    or (heap[0][0] == t and heap[0][1] < bucket[self._drain_pos][1])
                 ):
-                    e = heap[0]
                     bucket = None
-                    frontier = e[0]
                 elif t < 0:
-                    break
-                else:
-                    frontier = t
-                if until is not None and frontier > until:
                     break
                 if max_events is not None and fired >= max_events:
                     # A fireable entry remains; raise before the clock
@@ -480,45 +287,27 @@ class Simulator:
                 if bucket is None:
                     cause = "heap-only" if t < 0 else "heap-due"
                     fallbacks[cause] = fallbacks.get(cause, 0) + 1
-                    heappop(heap)
-                    self._heap_live -= 1
-                    self.now = frontier
+                    e = heappop(heap)
+                    self.now = e[0]
                 else:
-                    # Consumed wheel entries stay in their bucket as
-                    # tombstones; the bucket is reclaimed lazily by the
-                    # scan once it next lands there and finds nothing
-                    # live.  Eager clearing would be wrong: a bucket can
-                    # hold a *live* entry for a later wheel rotation
-                    # (time = t + k * WHEEL_SIZE, scheduled after a
-                    # ``run(until=...)`` clock jump) alongside dead ones.
                     epochs += 1
                     self.now = t
-                    self._drain_time = t
-                    self._drain_pos = pos
+                    pos = self._drain_pos
                 while True:
                     if bucket is not None:
-                        # Next live entry of cycle t.  The cursor and the
-                        # length are re-read after every callback: a
-                        # cancel inside one can trigger _compact_wheel,
-                        # which rewrites the bucket in place and resets
-                        # the cursor.
-                        pos = self._drain_pos
-                        n = len(bucket)
-                        while pos < n:
-                            e = bucket[pos]
-                            if e[2] is not None:
-                                break
-                            pos += 1
-                        else:
-                            self._drain_pos = pos
+                        # Next entry of cycle t.  The length is re-read
+                        # after every callback: a same-cycle schedule
+                        # appends to this bucket.
+                        if pos == len(bucket):
+                            self._clear_drained(t & mask)
                             break
                         if max_events is not None and fired >= max_events:
                             # Out of budget mid-cycle: the next pass
                             # finds this entry as the frontier and raises.
-                            self._drain_pos = pos
                             break
-                        self._drain_pos = pos + 1
-                        self._wheel_live -= 1
+                        e = bucket[pos]
+                        pos += 1
+                        self._drain_pos = pos
                     callback = e[2]
                     arg = e[3]
                     e[2] = None
@@ -542,16 +331,18 @@ class Simulator:
                             countdown = check_interval
                     if bucket is None:
                         # A heap entry fires alone; its storage is free
-                        # once fired (wheel entries wait for the bucket).
-                        if e[5] == (_F_RECYCLABLE | _F_IN_HEAP):
-                            free.append(e)
+                        # once fired.
+                        free.append(e)
                         break
                     batched += 1
         finally:
             self._epoch_epochs += epochs
             self._epoch_batched += batched
-        if until is not None and until > self.now:
-            self.now = until
+            idx = self.now & mask
+            if self._drain_pos and self._drain_pos == len(wheel[idx]):
+                # A callback or the watchdog raised on the last entry of
+                # cycle now: clear its bucket as a finished drain would.
+                self._clear_drained(idx)
         return fired
 
     @property
@@ -574,16 +365,8 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (not fired, not cancelled) events — O(1)."""
-        return self._wheel_live + self._heap_live
-
-    def _retained_entries(self) -> int:
-        """Entries physically held by the queue, dead tombstones included.
-
-        Test/debug introspection: compaction keeps this from growing
-        unboundedly under cancel storms.
-        """
-        return len(self._heap) + sum(len(b) for b in self._wheel)
+        """Number of scheduled events not yet fired (read by hang dumps)."""
+        return len(self._heap) + sum(map(len, self._wheel)) - self._drain_pos
 
 
 class ReferenceHeapSimulator(Simulator):
@@ -597,11 +380,6 @@ class ReferenceHeapSimulator(Simulator):
     that to cross-check the wheel and its batched drain against a
     trivially correct reference.
     """
-
-    def _insert(self, entry: list, time: int) -> None:
-        entry[5] |= _F_IN_HEAP
-        heappush(self._heap, entry)
-        self._heap_live += 1
 
     def call_at(self, time: int, callback: Callable, arg=_NO_ARG) -> None:
         now = self.now
@@ -617,11 +395,9 @@ class ReferenceHeapSimulator(Simulator):
             entry[2] = callback
             entry[3] = arg
             entry[4] = now
-            entry[5] = _F_RECYCLABLE | _F_IN_HEAP
         else:
-            entry = [time, seq, callback, arg, now, _F_RECYCLABLE | _F_IN_HEAP]
+            entry = [time, seq, callback, arg, now]
         heappush(self._heap, entry)
-        self._heap_live += 1
 
     def call_after(self, delay: int, callback: Callable, arg=_NO_ARG) -> None:
         # The base class inlines its wheel insert here; route back through

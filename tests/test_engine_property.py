@@ -1,18 +1,17 @@
 """Property-style differential test of the hybrid scheduler.
 
-Drives random interleavings of ``schedule_at`` / ``schedule_after`` /
-``call_after`` / ``cancel`` / ``run(until=...)`` through the production
-bucket-wheel+heap :class:`~repro.sim.engine.Simulator` and through the
-pure-heap :class:`~repro.sim.engine.ReferenceHeapSimulator`, asserting
-identical firing order, ``now`` evolution and ``pending_events`` counts —
-including cancel storms big enough to trip both compaction paths.
+Drives random interleavings of ``call_at`` / ``call_after`` / ``run``
+through the production bucket-wheel+heap
+:class:`~repro.sim.engine.Simulator` and through the pure-heap
+:class:`~repro.sim.engine.ReferenceHeapSimulator`, asserting identical
+firing order, ``now`` evolution and ``pending_events`` counts.
 
 The op script is generated once per seed and replayed against both
 engines, so any divergence is a scheduler bug, not test nondeterminism.
-A second family of cases schedules and cancels from *inside* firing
-callbacks (same-cycle appends to the bucket being drained, overflow
-pushes, cancels of pending entries) and stops on a ``max_events``
-budget mid-cycle, then resumes.
+A second family of cases schedules from *inside* firing callbacks
+(same-cycle appends to the bucket being drained, overflow pushes) and
+stops on a ``max_events`` budget mid-cycle, or on a raising callback,
+then resumes.
 """
 
 import random
@@ -31,22 +30,15 @@ def _make_script(seed, length):
     script = []
     for _ in range(length):
         roll = rng.random()
-        if roll < 0.30:
+        if roll < 0.40:
             script.append(("at", rng.choice(_DELTAS), rng.randrange(1000)))
-        elif roll < 0.55:
-            script.append(("after", rng.choice(_DELTAS), rng.randrange(1000)))
         elif roll < 0.70:
-            # Hot-path API: no handle, (callback, arg) dispatch.
-            script.append(("call", rng.choice(_DELTAS), rng.randrange(1000)))
-        elif roll < 0.82:
-            script.append(("cancel", rng.randrange(1 << 30)))
-        elif roll < 0.90:
-            script.append(("run_until", rng.choice(_DELTAS)))
+            script.append(("after", rng.choice(_DELTAS), rng.randrange(1000)))
         elif roll < 0.95:
-            script.append(("run_all",))
+            # (callback, arg) dispatch instead of a no-argument closure.
+            script.append(("call", rng.choice(_DELTAS), rng.randrange(1000)))
         else:
-            # Cancel storm: a burst of doomed events plus survivors.
-            script.append(("storm", 8 + rng.randrange(200), rng.choice(_DELTAS)))
+            script.append(("run_all",))
     script.append(("run_all",))
     return script
 
@@ -55,7 +47,6 @@ def _apply(sim, script):
     """Replay ``script`` on ``sim``; return the firing log and checkpoints."""
     log = []
     checkpoints = []
-    handles = []  # every cancellable handle ever created
 
     def fire(tag):
         log.append((tag, sim.now))
@@ -67,32 +58,16 @@ def _apply(sim, script):
         kind = op[0]
         if kind == "at":
             _, delta, tag = op
-            handles.append(sim.schedule_at(sim.now + delta, firing(tag)))
+            sim.call_at(sim.now + delta, firing(tag))
         elif kind == "after":
             _, delta, tag = op
-            handles.append(sim.schedule_after(delta, firing(tag)))
+            sim.call_after(delta, firing(tag))
         elif kind == "call":
             _, delta, tag = op
             sim.call_after(delta, fire, ("call", tag))
-        elif kind == "cancel":
-            if handles:
-                handles[op[1] % len(handles)].cancel()
-        elif kind == "run_until":
-            fired = sim.run(until=sim.now + op[1])
-            checkpoints.append(("until", fired, sim.now, sim.pending_events))
         elif kind == "run_all":
             fired = sim.run()
             checkpoints.append(("all", fired, sim.now, sim.pending_events))
-        elif kind == "storm":
-            _, count, delta = op
-            doomed = [
-                sim.schedule_at(sim.now + delta + (i % 7), lambda: fire("doomed"))
-                for i in range(count)
-            ]
-            survivor_tag = ("survivor", count)
-            handles.append(sim.schedule_after(delta + 3, firing(survivor_tag)))
-            for event in doomed:
-                event.cancel()
         checkpoints.append((sim.now, sim.pending_events))
     return log, checkpoints
 
@@ -120,7 +95,6 @@ def _reentrant(sim, seed, budget=None):
     """
     rng = random.Random(seed)
     log = []
-    handles = []
     counter = [0]
 
     def fire(tag):
@@ -134,12 +108,8 @@ def _reentrant(sim, seed, budget=None):
             delta = rng.choice(_DELTAS)
             if roll < 0.45:
                 sim.call_after(delta, fire, child)
-            elif roll < 0.75:
-                handles.append(
-                    sim.schedule_after(delta, lambda c=child: fire(c))
-                )
-            elif roll < 0.90 and handles:
-                handles[rng.randrange(len(handles))].cancel()
+            elif roll < 0.90:
+                sim.call_after(delta, lambda c=child: fire(c))
             else:
                 sim.call_at(sim.now, fire, child)  # same cycle, mid-drain
 
@@ -238,44 +208,79 @@ def test_mid_epoch_cross_core_message_forces_fallback_in_order():
 
 def test_reference_heap_never_uses_wheel():
     sim = ReferenceHeapSimulator()
-    sim.schedule_at(5, lambda: None)
+    sim.call_at(5, lambda: None)
     sim.call_after(2, lambda: None)
-    assert sim._wheel_live == 0
-    assert sim._heap_live == 2
+    assert sim._occ == 0
+    assert len(sim._heap) == 2
     assert sim.run() == 2
 
 
-def test_cancel_storm_compacts_both_sides():
-    sim = Simulator()
-    near = [sim.schedule_at(100 + i, lambda: None) for i in range(200)]
-    far = [
-        sim.schedule_at(sim.WHEEL_SIZE * 3 + i, lambda: None) for i in range(200)
-    ]
-    keep_near = sim.schedule_at(50, lambda: None)
-    keep_far = sim.schedule_at(sim.WHEEL_SIZE * 5, lambda: None)
-    for event in near + far:
-        event.cancel()
-    assert sim.pending_events == 2
-    # Tombstones must not be retained wholesale once cancels dominate
-    # (each side may keep up to just-under-one-trigger's worth).
-    assert sim._retained_entries() <= 2 * sim.COMPACT_MIN_SIZE
-    assert sim.run() == 2
-    assert not keep_near.cancelled and not keep_far.cancelled
-
-
-def test_free_list_recycles_internal_entries_only():
+def test_drained_run_leaves_no_entries_behind():
+    """Every bucket is cleared once its cycle drains, and every fired
+    entry (wheel or heap) is back on the free list."""
     sim = Simulator()
     fired = []
-    public = sim.schedule_at(3, lambda: fired.append("public"))
-    for i in range(16):
-        sim.call_after(i, fired.append, i)
-    sim.run()
-    assert fired == [0, 1, 2, "public", 3] + list(range(4, 16))
-    # Internal entries were recycled; the public entry's storage was not
-    # (its handle keeps reporting post-fire state).
-    assert len(sim._free) >= 1
-    assert all(entry[5] & 1 for entry in sim._free)
-    assert not public.cancelled
-    public.cancel()  # post-fire cancel is a no-op
-    assert not public.cancelled
+    deltas = (0, 0, 1, 3, 3, 700, 1023, 1024, 1500, 4095)
+    for i, delta in enumerate(deltas):
+        sim.call_after(delta, fired.append, i)
+    assert sim.run() == len(deltas)
+    assert len(fired) == len(deltas)
+    assert sim._occ == 0
+    assert not any(sim._wheel)
+    assert not sim._heap
+    assert sim._drain_pos == 0
     assert sim.pending_events == 0
+    assert len({id(entry) for entry in sim._free}) == len(deltas)
+    assert all(entry[2] is None and entry[3] is None for entry in sim._free)
+
+
+def _raise_on_last_entry_then_resume(sim, raiser):
+    """Stop a run on the last entry of cycle 5, then resume it."""
+    log = []
+
+    def fire(tag):
+        log.append((tag, sim.now))
+
+    def boom(tag):
+        fire(tag)
+        raise ValueError("boom")
+
+    class StopWatchdog:
+        check_interval = 3
+
+        def check(self):
+            raise ValueError("watchdog stop")
+
+    sim.call_at(5, fire, "a")
+    sim.call_at(9, fire, "c")
+    sim.call_at(5, fire, "b")
+    sim.call_at(5000, fire, "far")  # overflow heap
+    if raiser == "callback":
+        sim.call_at(5, boom, "last")
+    else:
+        sim.call_at(5, fire, "last")
+        sim.watchdog = StopWatchdog()
+    sim.call_at(9, fire, "d")
+    with pytest.raises(ValueError):
+        sim.run()
+    sim.watchdog = None
+    checkpoints = [(sim.now, sim.pending_events, sim._drain_pos)]
+    sim.call_at(sim.now, fire, "same-cycle")
+    sim.call_after(1, fire, "next")
+    checkpoints.append((sim.run(), sim.now, sim.pending_events))
+    return log, checkpoints
+
+
+@pytest.mark.parametrize("raiser", ["callback", "watchdog"])
+def test_raise_on_last_entry_of_cycle_leaves_engine_resumable(raiser):
+    sim = Simulator()
+    log_h, checks_h = _raise_on_last_entry_then_resume(sim, raiser)
+    log_r, checks_r = _raise_on_last_entry_then_resume(
+        ReferenceHeapSimulator(), raiser
+    )
+    assert checks_h == checks_r
+    assert log_h == log_r
+    assert log_h[2] == ("last", 5) and log_h[3] == ("same-cycle", 5)
+    # The stop cleared the drained bucket, as a finished drain does.
+    assert checks_h[0] == (5, 3, 0)
+    assert sim._occ == 0 and not any(sim._wheel)

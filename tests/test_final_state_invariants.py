@@ -85,3 +85,15 @@ class TestAuditCatchesCorruption:
             "coexists with copies at cores [3]" in f
             for f in protocol.invariant_violations()
         )
+
+    def test_mesi_copy_without_directory_entry_detected(self):
+        from repro.mem.l1 import MesiState
+        from repro.protocols.mesi import MesiProtocol
+
+        protocol = MesiProtocol(config_16())
+        # Corrupt: a cached copy of a line the directory has never seen.
+        protocol.l1s[3].insert(6, MesiState.SHARED)
+        assert protocol.invariant_violations() == [
+            "line 6: core 3 holds MesiState.SHARED but the directory has "
+            "no entry for the line"
+        ]

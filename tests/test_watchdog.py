@@ -187,7 +187,7 @@ class TestWatchdogValidation:
 
         sim = Simulator()
         sim.watchdog = BrokenWatchdog()
-        sim.schedule_at(1, lambda: None)
+        sim.call_at(1, lambda: None)
         with pytest.raises(ValueError, match="check_interval"):
             sim.run()
 
@@ -200,7 +200,7 @@ class TestEventAttribution:
             raise ValueError("kaboom")
 
         # Scheduled at cycle 5 (inside another event), fires at cycle 12.
-        sim.schedule_at(5, lambda: sim.schedule_after(7, boom))
+        sim.call_at(5, lambda: sim.call_after(7, boom))
         with pytest.raises(ValueError, match="kaboom") as excinfo:
             sim.run()
         notes = getattr(excinfo.value, "__notes__", [])
@@ -212,7 +212,7 @@ class TestEventAttribution:
     def test_exception_type_is_preserved(self):
         """Attribution annotates (PEP 678); it must not wrap or re-type."""
         sim = Simulator()
-        sim.schedule_at(0, lambda: 1 // 0)
+        sim.call_at(0, lambda: 1 // 0)
         with pytest.raises(ZeroDivisionError):
             sim.run()
 
